@@ -1,12 +1,10 @@
-//! Numerical-substrate performance: the dense LU factorisation, the
-//! hydraulic Newton solve at Frontier's primary-loop size (30 branches),
-//! and the adaptive ODE integrator — the pieces that replace Modelica's
-//! solver stack.
+//! Numerical-substrate performance: the dense LU factorisation and the
+//! hydraulic Newton solve at Frontier's primary-loop size (30 branches) —
+//! the pieces that replace Modelica's solver stack.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exadigit_network::hydraulic::{BranchElement, HydraulicNetwork};
 use exadigit_network::linalg::Matrix;
-use exadigit_network::ode::rkf45_integrate;
 use exadigit_sim::Rng;
 use exadigit_thermo::pump::Pump;
 use exadigit_thermo::valve::ControlValve;
@@ -102,24 +100,5 @@ fn bench_hydraulics(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ode");
-    group.measurement_time(Duration::from_secs(3)).sample_size(30);
-    // A 10-state linear relaxation network.
-    let sys = |_t: f64, y: &[f64], d: &mut [f64]| {
-        for i in 0..y.len() {
-            let left = if i == 0 { 0.0 } else { y[i - 1] };
-            d[i] = -(y[i] - left) / 30.0;
-        }
-    };
-    group.bench_function("rkf45_10_states_900s", |b| {
-        b.iter(|| {
-            let mut y = [1.0; 10];
-            black_box(rkf45_integrate(&sys, 0.0, 900.0, &mut y, 1e-6))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_lu, bench_hydraulics, bench_ode);
+criterion_group!(benches, bench_lu, bench_hydraulics);
 criterion_main!(benches);

@@ -106,6 +106,51 @@ pub struct PlantState {
     pub cdu_pump_power_w: f64,
 }
 
+/// Per-CDU values that stay fixed over one macro step's thermal sub-steps.
+struct CduStepConstants {
+    /// Secondary mass flow, kg/s.
+    mdot_sec: f64,
+    /// Primary mass flow, kg/s.
+    mdot_prim: f64,
+    /// HEX-1600 UA at these flows, W/K.
+    hex_ua: f64,
+    /// Decay factor of the secondary return volume over one sub-step.
+    return_decay: f64,
+    /// Decay factor of the secondary supply volume over one sub-step.
+    supply_decay: f64,
+}
+
+/// The last result of a pure function of `N` floats, for reuse by the next
+/// call with bit-identical arguments. The CDUs are identical units that
+/// usually run at bit-identical pump speeds and secondary flows (their
+/// pump controllers share one setpoint), so consecutive CDUs share one
+/// evaluation; comparing the arguments' bits makes the shared result
+/// exactly what the call would have returned.
+struct LastCall<const N: usize, V> {
+    last: Option<([u64; N], V)>,
+}
+
+impl<const N: usize, V> Default for LastCall<N, V> {
+    fn default() -> Self {
+        LastCall { last: None }
+    }
+}
+
+impl<const N: usize, V: Copy> LastCall<N, V> {
+    /// `f()`, or the previous result if `args` equal the previous call's.
+    fn get(&mut self, args: [f64; N], f: impl FnOnce() -> V) -> V {
+        let key = args.map(f64::to_bits);
+        match self.last {
+            Some((k, v)) if k == key => v,
+            _ => {
+                let v = f();
+                self.last = Some((key, v));
+                v
+            }
+        }
+    }
+}
+
 /// The plant: hydraulics + thermal state + component models.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct Plant {
@@ -488,15 +533,25 @@ impl Plant {
                 self.tower_pump.electrical_power(ct_sol.flow(b).max(0.0), speed, 26.0);
         }
 
-        // CDU secondary loops: analytic pump/system operating point.
-        let mut sec_flows = Vec::with_capacity(self.spec.num_cdus);
+        // --- Thermal sub-step size ---
+        let substeps = (dt_s / self.spec.thermal_substep_s).ceil().max(1.0) as usize;
+        let h = dt_s / substeps as f64;
+
+        // CDU secondary loops: analytic pump/system operating point. Flows
+        // are fixed for the macro step, and with them each CDU's mass
+        // flows, HEX-1600 UA and volume decay factors: evaluate them once
+        // here instead of on every thermal sub-step.
+        let mut cdu_consts = Vec::with_capacity(self.spec.num_cdus);
         let mut cdu_pump_total = 0.0;
+        let mut pump_point = LastCall::default();
+        let mut decays = LastCall::default();
         for i in 0..self.spec.num_cdus {
             let speed = self.state.cdus[i].pump_speed;
             let k_eff = self.k_cdu_secondary * self.blockage_factor[i];
-            let q = self.cdu_pump.operating_flow(k_eff, speed, 32.0);
-            let power = self.cdu_pump.electrical_power(q, speed, 32.0);
-            sec_flows.push(q);
+            let (q, power) = pump_point.get([speed, k_eff], || {
+                let q = self.cdu_pump.operating_flow(k_eff, speed, 32.0);
+                (q, self.cdu_pump.electrical_power(q, speed, 32.0))
+            });
             cdu_pump_total += power;
             let cdu = &mut self.state.cdus[i];
             cdu.secondary_flow_m3s = q;
@@ -507,16 +562,42 @@ impl Plant {
             // Secondary gauge pressures: discharge = loop drop + static.
             cdu.secondary_supply_pressure_pa = 150_000.0 + k_eff * q * q;
             cdu.secondary_return_pressure_pa = 150_000.0;
+
+            let mdot_sec = mass_flow(Fluid::Water, q.max(1e-6), 32.0);
+            let mdot_prim = mass_flow(Fluid::Water, cdu.primary_flow_m3s.max(1e-9), 32.0);
+            let (ret, sup) = (&self.cdu_sec_return[i], &self.cdu_sec_supply[i]);
+            let (return_decay, supply_decay) = decays
+                .get([mdot_sec, ret.mass_kg, sup.mass_kg], || {
+                    (ret.decay(mdot_sec, h), sup.decay(mdot_sec, h))
+                });
+            cdu_consts.push(CduStepConstants {
+                mdot_sec,
+                mdot_prim,
+                hex_ua: self.cdu_hex.ua(mdot_sec, mdot_prim),
+                return_decay,
+                supply_decay,
+            });
         }
 
         // --- Thermal sub-stepping ---
-        let substeps = (dt_s / self.spec.thermal_substep_s).ceil().max(1.0) as usize;
-        let h = dt_s / substeps as f64;
         let mdot_prim_total = mass_flow(Fluid::Water, q_prim_total.max(1e-6), 32.0);
         let mdot_ct_total = mass_flow(Fluid::Water, q_ct_total.max(1e-6), 26.0);
         let n_cells = self.state.cells_staged.max(1) as usize;
         let n_ehx = self.state.ehx_staged.max(1) as f64;
         let mut heat_rejected = 0.0;
+
+        // The EHX bank's UA scales with the staged fraction of the bank.
+        let ehx_ua = self.ehx_total.ua_with_design(
+            self.ehx_total.ua_design * (n_ehx / self.spec.ehx.count as f64),
+            mdot_prim_total,
+            mdot_ct_total,
+        );
+        let cep_decay = self.cep_supply_vol.decay(mdot_prim_total, h);
+        let basin_decay = self.basin.decay(mdot_ct_total, h);
+        // Active cells share the loop flow.
+        let per_cell = mdot_ct_total / n_cells as f64;
+        let cell_ntu = self.tower_cell.ntu_at(per_cell, self.state.fan_speed);
+        let mut prim_out_streams = Vec::with_capacity(self.spec.num_cdus);
 
         for _ in 0..substeps {
             // Primary supply reaches the data hall after the pipe delay.
@@ -524,31 +605,33 @@ impl Plant {
                 self.supply_delay.step(self.cep_supply_vol.temperature, q_prim_total, h);
 
             // CDU loops.
-            let mut prim_out_streams = Vec::with_capacity(self.spec.num_cdus);
-            for i in 0..self.spec.num_cdus {
-                let q_sec = sec_flows[i];
-                let mdot_sec = mass_flow(Fluid::Water, q_sec.max(1e-6), 32.0);
-                let mdot_prim =
-                    mass_flow(Fluid::Water, self.state.cdus[i].primary_flow_m3s.max(1e-9), 32.0);
-
+            prim_out_streams.clear();
+            for (i, c) in cdu_consts.iter().enumerate() {
                 // Racks heat the secondary stream (eq. 7 inverse).
                 let t_rack_out = temperature_rise(
                     Fluid::Water,
                     self.cdu_sec_supply[i].temperature,
-                    mdot_sec,
+                    c.mdot_sec,
                     cdu_heat_w[i],
                 );
-                self.cdu_sec_return[i].step(t_rack_out, mdot_sec, 0.0, h);
+                self.cdu_sec_return[i].step_decayed(t_rack_out, c.mdot_sec, 0.0, h, c.return_decay);
 
                 // HEX-1600: secondary (hot) against primary (cold).
-                let hx = self.cdu_hex.evaluate(
+                let hx = self.cdu_hex.evaluate_with_ua(
                     self.cdu_sec_return[i].temperature,
-                    mdot_sec,
+                    c.mdot_sec,
                     t_htws_hall,
-                    mdot_prim,
+                    c.mdot_prim,
+                    c.hex_ua,
                 );
-                self.cdu_sec_supply[i].step(hx.t_hot_out, mdot_sec, 0.0, h);
-                prim_out_streams.push((mdot_prim, hx.t_cold_out));
+                self.cdu_sec_supply[i].step_decayed(
+                    hx.t_hot_out,
+                    c.mdot_sec,
+                    0.0,
+                    h,
+                    c.supply_decay,
+                );
+                prim_out_streams.push((c.mdot_prim, hx.t_cold_out));
 
                 let cdu = &mut self.state.cdus[i];
                 cdu.hex_heat_w = hx.heat_w;
@@ -562,24 +645,28 @@ impl Plant {
             let t_prim_ret_hall = mix_streams(&prim_out_streams);
             let t_htwr_cep = self.return_delay.step(t_prim_ret_hall, q_prim_total, h);
 
-            // EHX bank: primary (hot) against tower water (cold). UA scales
-            // with the staged fraction of the bank.
-            let mut ehx = self.ehx_total.clone();
-            ehx.ua_design *= n_ehx / self.spec.ehx.count as f64;
-            let ehx_res =
-                ehx.evaluate(t_htwr_cep, mdot_prim_total, self.basin.temperature, mdot_ct_total);
-            self.cep_supply_vol.step(ehx_res.t_hot_out, mdot_prim_total, 0.0, h);
+            // EHX bank: primary (hot) against tower water (cold).
+            let ehx_res = self.ehx_total.evaluate_with_ua(
+                t_htwr_cep,
+                mdot_prim_total,
+                self.basin.temperature,
+                mdot_ct_total,
+                ehx_ua,
+            );
+            self.cep_supply_vol
+                .step_decayed(ehx_res.t_hot_out, mdot_prim_total, 0.0, h, cep_decay);
 
-            // Tower cells: active cells share the loop flow.
-            let per_cell = mdot_ct_total / n_cells as f64;
-            let cell_res = self.tower_cell.evaluate(
+            // Tower cells.
+            let cell_res = self.tower_cell.evaluate_with_ntu(
                 ehx_res.t_cold_out,
                 per_cell,
                 wet_bulb_c,
                 self.state.fan_speed,
+                cell_ntu,
             );
             heat_rejected += cell_res.heat_rejected_w * n_cells as f64 * h;
-            self.basin.step(cell_res.t_water_out, mdot_ct_total, 0.0, h);
+            self.basin
+                .step_decayed(cell_res.t_water_out, mdot_ct_total, 0.0, h, basin_decay);
 
             self.state.htws_temp_c = t_htws_hall;
             self.state.htwr_temp_c = t_htwr_cep;
@@ -727,5 +814,38 @@ mod tests {
         // With almost no load everything drifts toward the tower floor.
         assert!(plant.state.htwr_temp_c < 40.0);
         assert!(plant.state.cells_staged <= plant.spec.towers.initial_staged + 2);
+    }
+
+    #[test]
+    fn frontier_newton_steps_never_fall_back_to_dense() {
+        // The structured Newton step covers the Frontier plant: over eight
+        // hours of swinging load and wet bulb, with pumps, cells and EHXs
+        // staging, no hydraulic step needs the dense LU.
+        let spec = PlantSpec::frontier();
+        let mut plant = Plant::new(spec.clone()).unwrap();
+        let mut controls = PlantControls::new(&spec);
+        let design = spec.heat_per_cdu_w();
+        let (mut iterations, mut dense) = (0, 0);
+        for k in 0..1_920 {
+            let phase = k as f64 / 960.0 * std::f64::consts::TAU;
+            let heats: Vec<f64> = (0..spec.num_cdus)
+                .map(|i| design * (0.55 + 0.5 * phase.sin() + 0.1 * (5.0 * phase + i as f64).sin()))
+                .collect();
+            let cmd = controls.update(&plant.state, &spec, 15.0);
+            plant.apply_commands(&cmd);
+            for (net, t) in [(&plant.primary_net, 32.0), (&plant.tower_net, 26.0)] {
+                let sol = net.clone().solve(t).expect("solve");
+                iterations += sol.iterations;
+                dense += sol.dense_iterations;
+            }
+            plant
+                .step(&heats, 14.0 + 9.0 * (0.5 * phase).cos(), 15.0)
+                .expect("step");
+        }
+        assert!(iterations > 1_000, "only {iterations} Newton steps");
+        assert_eq!(
+            dense, 0,
+            "{dense} of {iterations} Newton steps fell back to the dense LU"
+        );
     }
 }

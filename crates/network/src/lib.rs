@@ -13,16 +13,16 @@
 //!   model treats pressure states);
 //! * the **differential part** — thermal storage in volumes and transport
 //!   delays — is integrated by the components themselves (exact exponential
-//!   updates) or by the general-purpose integrators in [`ode`];
-//! * [`linalg`] provides the small dense LU factorisation used by the
-//!   Newton steps;
+//!   updates, see `exadigit_thermo::pipe`);
+//! * [`linalg`] provides the small dense LU factorisation: the node block
+//!   of the structured Newton step, and the whole Jacobian when that step
+//!   does not apply;
 //! * [`thermal`] provides stream-mixing helpers for junction temperatures.
 
 #![warn(missing_docs)]
 
 pub mod hydraulic;
 pub mod linalg;
-pub mod ode;
 pub mod thermal;
 
 pub use hydraulic::{Branch, BranchElement, BranchId, HydraulicNetwork, NodeId, Solution, SolverError};

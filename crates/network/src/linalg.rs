@@ -1,9 +1,13 @@
-//! Small dense linear algebra.
+//! Small dense linear algebra: LU with partial pivoting, no external BLAS.
 //!
-//! The hydraulic Newton solver needs to factor Jacobians of a few dozen
-//! rows at every iteration of every 15 s cooling step. Networks this size
-//! are fastest with a plain dense LU with partial pivoting — no external
-//! BLAS needed, no sparse bookkeeping worth its overhead.
+//! The hydraulic Newton Jacobian is mostly zeros, so its usual step (see
+//! `hydraulic`) eliminates the branch rows itself in O(branches) and hands
+//! only the small node block, a few rows, to `lu_solve_in_place`. That
+//! structured step applies when every branch slope satisfies `|D_k| ≥ 1`:
+//! then partial pivoting here would keep those entries as pivots anyway,
+//! so both routes perform the same floating-point operations. Otherwise
+//! the solver factors the whole Jacobian with [`Matrix::solve`], the
+//! general dense solver, also used by the L3 surrogate's least-squares fit.
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,58 +70,61 @@ impl Matrix {
     /// matrix is numerically singular.
     pub fn solve(mut self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve needs a square matrix");
-        assert_eq!(b.len(), self.rows);
-        let n = self.rows;
         let mut x: Vec<f64> = b.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        for k in 0..n {
-            // Partial pivot: largest magnitude in column k at/below row k.
-            let mut pivot_row = k;
-            let mut pivot_val = self[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = self[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val < 1e-14 {
-                return None;
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    let tmp = self[(k, j)];
-                    self[(k, j)] = self[(pivot_row, j)];
-                    self[(pivot_row, j)] = tmp;
-                }
-                x.swap(k, pivot_row);
-                perm.swap(k, pivot_row);
-            }
-            // Eliminate below.
-            let pivot = self[(k, k)];
-            for i in (k + 1)..n {
-                let factor = self[(i, k)] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                self[(i, k)] = 0.0;
-                for j in (k + 1)..n {
-                    self[(i, j)] -= factor * self[(k, j)];
-                }
-                x[i] -= factor * x[k];
-            }
-        }
-        // Back substitution.
-        for k in (0..n).rev() {
-            let mut sum = x[k];
-            for j in (k + 1)..n {
-                sum -= self[(k, j)] * x[j];
-            }
-            x[k] = sum / self[(k, k)];
-        }
-        Some(x)
+        lu_solve_in_place(&mut self.data, self.rows, &mut x).then_some(x)
     }
+}
+
+/// Solve `A·x = b` by LU with partial pivoting, for a square row-major
+/// `n × n` matrix `a` held in a slice: `a` is overwritten by the factors
+/// and `x` (holding `b` on entry) by the solution. Returns `false` when the
+/// matrix is numerically singular, leaving both partially eliminated.
+pub(crate) fn lu_solve_in_place(a: &mut [f64], n: usize, x: &mut [f64]) -> bool {
+    assert_eq!(a.len(), n * n);
+    assert_eq!(x.len(), n);
+    for k in 0..n {
+        // Partial pivot: largest magnitude in column k at/below row k.
+        let mut pivot_row = k;
+        let mut pivot_val = a[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = a[i * n + k].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = i;
+            }
+        }
+        if pivot_val < 1e-14 {
+            return false;
+        }
+        if pivot_row != k {
+            for j in 0..n {
+                a.swap(k * n + j, pivot_row * n + j);
+            }
+            x.swap(k, pivot_row);
+        }
+        // Eliminate below.
+        let pivot = a[k * n + k];
+        for i in (k + 1)..n {
+            let factor = a[i * n + k] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            a[i * n + k] = 0.0;
+            for j in (k + 1)..n {
+                a[i * n + j] -= factor * a[k * n + j];
+            }
+            x[i] -= factor * x[k];
+        }
+    }
+    // Back substitution.
+    for k in (0..n).rev() {
+        let mut sum = x[k];
+        for j in (k + 1)..n {
+            sum -= a[k * n + j] * x[j];
+        }
+        x[k] = sum / a[k * n + k];
+    }
+    true
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

@@ -218,6 +218,23 @@ pub fn run_whatif(
     if spec.draws > MAX_DRAWS {
         return Err(format!("{} draws exceed the {MAX_DRAWS} per-query cap", spec.draws));
     }
+    let partitions = &snapshot.twin().config.system.partitions;
+    for job in &spec.extra_jobs {
+        let Some(partition) = partitions.get(job.partition) else {
+            return Err(format!(
+                "extra job {} names partition {}, but the system has {} partition(s)",
+                job.id.0,
+                job.partition,
+                partitions.len()
+            ));
+        };
+        if !(1..=partition.nodes).contains(&job.nodes) {
+            return Err(format!(
+                "extra job {} asks for {} nodes; partition {} ({}) has 1..={}",
+                job.id.0, job.nodes, job.partition, partition.name, partition.nodes
+            ));
+        }
+    }
     let (from_s, to_s) = (snapshot.taken_at_s, snapshot.taken_at_s + spec.horizon_s);
     if spec.draws <= 1 {
         let run = run_fork(configured_fork(snapshot, spec)?, spec, None)?;
@@ -365,6 +382,40 @@ mod tests {
         .unwrap();
         assert!(loaded.avg_power_mw > base.avg_power_mw + 1.0);
         assert_eq!(loaded.jobs_completed, base.jobs_completed + 1);
+    }
+
+    #[test]
+    fn extra_jobs_outside_the_machine_are_rejected() {
+        let (_store, snap) = snapshot_at(300);
+        let system_nodes = snap.twin().config.system.partitions[0].nodes;
+        let mut wrong_partition = Job::new(99, "p99", 16, 600, 0, 0.5, 0.5);
+        wrong_partition.partition = 99;
+        let cases = [
+            (wrong_partition, "partition 99"),
+            (
+                Job::new(99, "none", 0, 600, 0, 0.5, 0.5),
+                "asks for 0 nodes",
+            ),
+            (
+                Job::new(99, "huge", system_nodes + 1, 600, 0, 0.5, 0.5),
+                "nodes",
+            ),
+        ];
+        for (job, expected) in cases {
+            let spec = WhatIfSpec {
+                extra_jobs: vec![job],
+                ..WhatIfSpec::default()
+            };
+            let err = run_whatif(&snap, &spec, Some(1)).unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
+        // A job exactly the size of the partition is fine.
+        let full = Job::new(99, "full", system_nodes, 600, 0, 0.5, 0.5);
+        let spec = WhatIfSpec {
+            extra_jobs: vec![full],
+            ..WhatIfSpec::default()
+        };
+        run_whatif(&snap, &spec, Some(1)).unwrap();
     }
 
     #[test]

@@ -244,6 +244,98 @@ fn batch_error_is_per_slot_over_the_wire() {
     handle.shutdown();
 }
 
+/// A query whose extra job names a partition the machine does not have,
+/// or more nodes than it has, is answered with an error instead of
+/// reaching the scheduler, where the index would panic the worker and
+/// leave the request unanswered. Twice as many bad queries as workers,
+/// alone and in a batch, must each be answered, and the same connection
+/// must keep answering `Status` and a good query.
+#[test]
+fn out_of_range_extra_jobs_answer_errors_and_keep_every_worker() {
+    let handle = TwinServer::bind(service(), "127.0.0.1:0")
+        .unwrap()
+        .with_workers(2)
+        .spawn();
+    let addr = handle.addr();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = ServiceClient::connect(addr).unwrap();
+        client.request(&Request::Advance { seconds: 600 }).unwrap();
+        let Response::SnapshotTaken(info) = client
+            .request(&Request::Snapshot {
+                label: "base".into(),
+            })
+            .unwrap()
+        else {
+            panic!()
+        };
+        let Response::Status(before) = client.request(&Request::Status).unwrap() else {
+            panic!()
+        };
+        let job = |partition: usize, nodes: usize| {
+            let mut job = exadigit_raps::job::Job::new(7, "bad", nodes, 600, 0, 0.5, 0.5);
+            job.partition = partition;
+            WhatIfSpec {
+                label: "bad".into(),
+                extra_jobs: vec![job],
+                ..WhatIfSpec::default()
+            }
+        };
+        for spec in [job(99, 16), job(0, 0), job(0, usize::MAX), job(1, 16)] {
+            let r = client
+                .request(&Request::Query {
+                    snapshot_id: info.id,
+                    spec,
+                })
+                .unwrap();
+            assert!(
+                matches!(&r, Response::Error { message } if message.contains("extra job")),
+                "{r:?}"
+            );
+        }
+        let good = WhatIfSpec {
+            label: "ok".into(),
+            horizon_s: 300,
+            ..WhatIfSpec::default()
+        };
+        let Response::Answers { outcomes, .. } = client
+            .request(&Request::QueryBatch {
+                snapshot_id: info.id,
+                specs: vec![good.clone(), job(99, 16)],
+            })
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert!(outcomes[0].is_ok());
+        assert!(
+            matches!(&outcomes[1], BatchOutcome::Err { message } if message.contains("partition 99"))
+        );
+
+        // Every bad query above was answered, so none took its worker down
+        // with it; the same connection keeps serving.
+        let Response::Status(after) = client.request(&Request::Status).unwrap() else {
+            panic!()
+        };
+        assert_eq!(
+            after.now_s, before.now_s,
+            "a rejected query must not touch the live twin"
+        );
+        let r = client
+            .request(&Request::Query {
+                snapshot_id: info.id,
+                spec: good,
+            })
+            .unwrap();
+        assert!(matches!(r, Response::Answer { cached: true, .. }), "{r:?}");
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a request went unanswered: a worker died or the connection hung");
+    handle.shutdown();
+}
+
 /// LRU semantics observed through the wire's `cached` flag: a hit
 /// promotes, so the promoted entry survives an eviction that claims the
 /// stalest entry instead.

@@ -90,11 +90,17 @@ impl HeatExchanger {
 
     /// UA at the given side mass flows (kg/s).
     pub fn ua(&self, mdot_hot: f64, mdot_cold: f64) -> f64 {
+        self.ua_with_design(self.ua_design, mdot_hot, mdot_cold)
+    }
+
+    /// [`Self::ua`] with the design UA replaced by `ua_design` — e.g. a bank
+    /// with only some of its units staged.
+    pub fn ua_with_design(&self, ua_design: f64, mdot_hot: f64, mdot_cold: f64) -> f64 {
         let m_avg = 0.5 * (mdot_hot + mdot_cold);
         if m_avg <= 0.0 {
             return 0.0;
         }
-        self.ua_design * (m_avg / self.mdot_design).powf(0.7)
+        ua_design * (m_avg / self.mdot_design).powf(0.7)
     }
 
     /// Evaluate the exchanger for the given inlet conditions.
@@ -108,6 +114,28 @@ impl HeatExchanger {
         t_cold_in: f64,
         mdot_cold: f64,
     ) -> HxResult {
+        self.evaluate_with_ua(
+            t_hot_in,
+            mdot_hot,
+            t_cold_in,
+            mdot_cold,
+            self.ua(mdot_hot, mdot_cold),
+        )
+    }
+
+    /// [`Self::evaluate`] with the UA supplied. UA depends on the flows
+    /// only, so a caller evaluating several inlet temperatures at fixed
+    /// flows computes it once with [`Self::ua`] (or
+    /// [`Self::ua_with_design`]); with `ua = self.ua(mdot_hot, mdot_cold)`
+    /// the result is bit-identical to `evaluate`.
+    pub fn evaluate_with_ua(
+        &self,
+        t_hot_in: f64,
+        mdot_hot: f64,
+        t_cold_in: f64,
+        mdot_cold: f64,
+        ua: f64,
+    ) -> HxResult {
         if mdot_hot <= 1e-9 || mdot_cold <= 1e-9 {
             return HxResult {
                 heat_w: 0.0,
@@ -117,11 +145,17 @@ impl HeatExchanger {
             };
         }
         let t_mean = 0.5 * (t_hot_in + t_cold_in);
-        let c_hot = mdot_hot * self.hot_fluid.specific_heat(t_mean);
-        let c_cold = mdot_cold * self.cold_fluid.specific_heat(t_mean);
+        let cp_hot = self.hot_fluid.specific_heat(t_mean);
+        let cp_cold = if self.cold_fluid == self.hot_fluid {
+            cp_hot
+        } else {
+            self.cold_fluid.specific_heat(t_mean)
+        };
+        let c_hot = mdot_hot * cp_hot;
+        let c_cold = mdot_cold * cp_cold;
         let (c_min, c_max) = if c_hot < c_cold { (c_hot, c_cold) } else { (c_cold, c_hot) };
         let cr = c_min / c_max;
-        let ntu = self.ua(mdot_hot, mdot_cold) / c_min;
+        let ntu = ua / c_min;
         let eff = effectiveness_counterflow(ntu, cr);
         let q = eff * c_min * (t_hot_in - t_cold_in);
         HxResult {

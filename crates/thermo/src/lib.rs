@@ -43,7 +43,7 @@ pub use fluid::Fluid;
 pub use hx::HeatExchanger;
 pub use pid::Pid;
 pub use pipe::{HydraulicResistance, ThermalVolume, TransportDelay};
-pub use pump::Pump;
+pub use pump::{Pump, PumpCurve};
 pub use staging::{FirstOrderLag, HysteresisStager};
 pub use tower::CoolingTowerCell;
 pub use valve::{ControlValve, ValveCharacteristic};

@@ -72,16 +72,29 @@ impl Pump {
 
     /// Pressure rise (Pa) at flow `q` (m³/s), speed `s`, temperature `t` °C.
     pub fn pressure_rise(&self, q: f64, s: f64, t: f64) -> f64 {
-        self.fluid.density(t) * G * self.head(q, s)
+        self.curve(s, t).pressure_rise(q)
     }
 
     /// Derivative of pressure rise with respect to flow, Pa/(m³/s) — used
     /// by the Newton hydraulic solver.
     pub fn dpressure_dflow(&self, q: f64, s: f64, t: f64) -> f64 {
-        if s <= 0.0 || self.head(q, s) <= 0.0 {
-            return 0.0;
+        self.curve(s, t).dpressure_dflow(q)
+    }
+
+    /// The pressure-rise curve at speed `s` and temperature `t` °C, with
+    /// its flow-independent factors evaluated once. A solver that
+    /// evaluates the curve at many flows builds this once per solve; the
+    /// results are bit-identical to [`Pump::pressure_rise`] and
+    /// [`Pump::dpressure_dflow`].
+    pub fn curve(&self, s: f64, t: f64) -> PumpCurve {
+        let rho = self.fluid.density(t);
+        PumpCurve {
+            stopped: s <= 0.0,
+            shutoff_head_m: s * s * self.shutoff_head_m,
+            head_coeff: self.head_coeff,
+            rho_g: rho * G,
+            slope: -2.0 * rho * G * self.head_coeff,
         }
-        -2.0 * self.fluid.density(t) * G * self.head_coeff * q
     }
 
     /// Hydraulic efficiency at flow `q` and speed `s`: quadratic in the
@@ -128,6 +141,47 @@ impl Pump {
         let num = rho_g * s * s * self.shutoff_head_m;
         let den = k_sys + rho_g * self.head_coeff;
         (num / den).max(0.0).sqrt()
+    }
+}
+
+/// A pump's pressure-rise curve at one speed and fluid temperature
+/// (see [`Pump::curve`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PumpCurve {
+    /// Speed at or below zero: a stopped pump produces no head.
+    stopped: bool,
+    /// Shutoff head at this speed, `s² · h_shutoff`, m.
+    shutoff_head_m: f64,
+    /// Head-curve quadratic coefficient, m/(m³/s)².
+    head_coeff: f64,
+    /// `ρ(t) · g`, Pa/m.
+    rho_g: f64,
+    /// `−2 · ρ(t) · g · k_h`, the flow coefficient of the derivative.
+    slope: f64,
+}
+
+impl PumpCurve {
+    /// Head (m) at flow `q` (m³/s), clamped at zero.
+    fn head(&self, q: f64) -> f64 {
+        if self.stopped {
+            return 0.0;
+        }
+        (self.shutoff_head_m - self.head_coeff * q * q).max(0.0)
+    }
+
+    /// Pressure rise (Pa) at flow `q` (m³/s).
+    #[inline]
+    pub fn pressure_rise(&self, q: f64) -> f64 {
+        self.rho_g * self.head(q)
+    }
+
+    /// Derivative of the pressure rise with respect to flow, Pa/(m³/s).
+    #[inline]
+    pub fn dpressure_dflow(&self, q: f64) -> f64 {
+        if self.stopped || self.head(q) <= 0.0 {
+            return 0.0;
+        }
+        self.slope * q
     }
 }
 
@@ -211,5 +265,40 @@ mod tests {
         let rated = p.rated_power();
         let actual = p.electrical_power(p.bep_flow_m3s, 1.0, 25.0);
         assert!((actual - rated).abs() / rated < 0.05);
+    }
+
+    #[test]
+    fn curve_matches_the_direct_expressions_bit_for_bit() {
+        // Solvers evaluate the pre-built curve; it must reproduce the
+        // direct expressions exactly, stopped and beyond runout included.
+        let p = htwp();
+        for s in [0.0, -0.1, 0.37, 0.85, 1.0, 1.2] {
+            for t in [5.0, 26.0, 32.0, 58.0] {
+                for q in [0.0, 0.05, 0.2, gpm_to_m3s(5500.0), 1.5] {
+                    let head = if s <= 0.0 {
+                        0.0
+                    } else {
+                        (s * s * p.shutoff_head_m - p.head_coeff * q * q).max(0.0)
+                    };
+                    let rise = p.fluid.density(t) * G * head;
+                    let slope = if s <= 0.0 || head <= 0.0 {
+                        0.0
+                    } else {
+                        -2.0 * p.fluid.density(t) * G * p.head_coeff * q
+                    };
+                    let curve = p.curve(s, t);
+                    assert_eq!(
+                        curve.pressure_rise(q).to_bits(),
+                        rise.to_bits(),
+                        "s={s} t={t} q={q}"
+                    );
+                    assert_eq!(
+                        curve.dpressure_dflow(q).to_bits(),
+                        slope.to_bits(),
+                        "s={s} t={t} q={q}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -82,6 +82,37 @@ impl CoolingTowerCell {
         t_wet_bulb: f64,
         fan_speed: f64,
     ) -> TowerResult {
+        let ntu = self.ntu_at(mdot_water, fan_speed);
+        self.evaluate_with_ntu(t_water_in, mdot_water, t_wet_bulb, fan_speed, ntu)
+    }
+
+    /// The cell's NTU at water flow `mdot_water` (kg/s) and relative fan
+    /// speed `fan_speed`: the part of [`Self::evaluate`] that depends on
+    /// flows only.
+    pub fn ntu_at(&self, mdot_water: f64, fan_speed: f64) -> f64 {
+        self.ntu(mdot_water, self.air_flow(fan_speed.clamp(0.0, 1.0)))
+    }
+
+    /// Air mass flow (kg/s) at a clamped fan speed: fan-driven plus a
+    /// small natural-draft floor.
+    fn air_flow(&self, fan_speed: f64) -> f64 {
+        let air_frac = (0.1 + 0.9 * fan_speed).min(1.0);
+        self.mdot_air_design * air_frac
+    }
+
+    /// [`Self::evaluate`] with the NTU supplied. NTU depends on the flows
+    /// only, so a caller evaluating several inlet temperatures at fixed
+    /// flows computes it once with [`Self::ntu_at`]; with
+    /// `ntu = self.ntu_at(mdot_water, fan_speed)` the result is
+    /// bit-identical to `evaluate`.
+    pub fn evaluate_with_ntu(
+        &self,
+        t_water_in: f64,
+        mdot_water: f64,
+        t_wet_bulb: f64,
+        fan_speed: f64,
+        ntu: f64,
+    ) -> TowerResult {
         let fan_speed = fan_speed.clamp(0.0, 1.0);
         if mdot_water <= 1e-9 {
             return TowerResult {
@@ -91,9 +122,7 @@ impl CoolingTowerCell {
                 approach_k: t_water_in - t_wet_bulb,
             };
         }
-        // Air flow: fan-driven plus a small natural-draft floor.
-        let air_frac = (0.1 + 0.9 * fan_speed).min(1.0);
-        let mdot_air = self.mdot_air_design * air_frac;
+        let mdot_air = self.air_flow(fan_speed);
 
         // Braun's effective saturation specific heat over the span between
         // wet-bulb and entering water temperature.
@@ -104,7 +133,6 @@ impl CoolingTowerCell {
         let c_air = mdot_air * cs;
         let (c_min, c_max) = if c_water < c_air { (c_water, c_air) } else { (c_air, c_water) };
         let cr = c_min / c_max;
-        let ntu = self.ntu(mdot_water, mdot_air);
         let eff = effectiveness_counterflow(ntu, cr);
 
         let q = (eff * c_min * (t_water_in - t_wet_bulb)).max(0.0);

@@ -1,7 +1,8 @@
 //! Cooling-model validation (Fig. 7 workflow): record synthetic CEP
 //! telemetry with the perturbed physical twin, replay the same workload
 //! through the nominal model, and report RMSE/MAE per channel plus the
-//! PUE bias (paper criterion: within 1.4 %).
+//! PUE bias. Exits non-zero when |PUE bias| exceeds the paper's 1.4 %
+//! criterion, so it serves as the L4 plant's V&V smoke check.
 //!
 //! ```sh
 //! cargo run --release --example cooling_validation -- 6
@@ -16,6 +17,9 @@ use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
 use exadigit_sim::TimeSeries;
 use exadigit_telemetry::{compare_channels, SyntheticTwin};
 use exadigit_viz::chart::spark_series;
+
+/// The paper's validation criterion: model PUE within 1.4 % of telemetry.
+const PUE_BIAS_BOUND_PCT: f64 = 1.4;
 
 fn main() {
     let hours: u64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(3);
@@ -93,9 +97,9 @@ fn main() {
         pue_cmp.mae,
         pue_cmp.nrmse_percent()
     );
+    let pue_bias = pue_cmp.mean_bias_percent();
     println!(
-        "\nPUE bias: {:+.2} %  (paper: model within 1.4 % of telemetry)",
-        pue_cmp.mean_bias_percent()
+        "\nPUE bias: {pue_bias:+.2} %  (paper: model within {PUE_BIAS_BOUND_PCT} % of telemetry)"
     );
 
     println!("\npredicted return temp  {}", spark_series(&pred_temp, 64));
@@ -103,4 +107,12 @@ fn main() {
         "measured  return temp  {}",
         spark_series(&telemetry.cooling.cdu_return_temp[0], 64)
     );
+
+    if pue_bias.abs() > PUE_BIAS_BOUND_PCT {
+        eprintln!(
+            "FAIL: |PUE bias| {:.2} % exceeds {PUE_BIAS_BOUND_PCT} %",
+            pue_bias.abs()
+        );
+        std::process::exit(1);
+    }
 }
