@@ -113,7 +113,7 @@ fn main() {
     // ---------------- (d) surrogate training envelope ----------------
     section("Ablation (d) — L3 surrogate training envelope");
     use exadigit_core::surrogate::{generate_training_data, Surrogate};
-    use exadigit_core::whatif::{evaluate_grid_point, Fidelity};
+    use exadigit_core::whatif::{whatif_grid, Fidelity};
     let spec = PlantSpec::marconi100_like();
     let samples = generate_training_data(&spec, &[0.3, 0.6, 0.9], &[10.0, 14.0, 18.0], 400)
         .expect("training sweep");
@@ -130,8 +130,8 @@ fn main() {
         (0.6, 22.0, "staging cliff: extrapolation flagged"),
         (1.3, 14.0, "overload: extrapolation flagged"),
     ] {
-        let l3 = evaluate_grid_point(&spec, &fidelity, load, wb).expect("L3 point");
-        let l4 = evaluate_grid_point(&spec, &Fidelity::Plant, load, wb).expect("L4 point");
+        let l3 = whatif_grid(&spec, &fidelity, &[load], &[wb]).expect("L3 point").points[0];
+        let l4 = whatif_grid(&spec, &Fidelity::Plant, &[load], &[wb]).expect("L4 point").points[0];
         println!(
             "  {load:>8.2} {wb:>8.1} {:>10.4} {:>10.4} {:>8.4} {:>8}   {note}",
             l3.pue,

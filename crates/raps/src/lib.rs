@@ -31,7 +31,6 @@
 
 pub mod arrivals;
 pub mod config;
-pub mod fingerprint;
 pub mod job;
 pub mod metrics;
 pub mod power;

@@ -93,8 +93,8 @@ pub fn perturb_config(cfg: &SystemConfig, pert: &UqPerturbations, rng: &mut Rng)
 
 /// Run one perturbed ensemble member to completion: draw a perturbation
 /// from `ctx`'s private stream, replay `jobs` for `horizon_s` seconds, and
-/// report the headline outputs. This is the single-scenario unit that
-/// [`run_ensemble`] and `exadigit_core::ensemble` batch across the pool.
+/// report the headline outputs. This is the single-draw unit that
+/// [`run_ensemble`] batches across the pool.
 pub fn run_member(
     cfg: &SystemConfig,
     jobs: &[Job],

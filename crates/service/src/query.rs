@@ -20,7 +20,8 @@
 use crate::snapshot::TwinSnapshot;
 use exadigit_core::config::CoolingBackend;
 use exadigit_core::twin::DigitalTwin;
-use exadigit_raps::job::Job;
+use exadigit_raps::config::SystemConfig;
+use exadigit_raps::job::{Job, UtilTrace};
 use exadigit_raps::power::PowerDelivery;
 use exadigit_raps::simulation::CoolingCoupling;
 use exadigit_raps::uq::{self, UqPerturbations};
@@ -195,20 +196,17 @@ fn run_fork(
     })
 }
 
-/// Answer a what-if from a snapshot: fork, apply the overrides, advance
-/// the horizon, and report marginal outcomes. `draws > 1` fans that many
-/// forks across the pool (`threads`, `None` = process default) with
-/// per-fork RNG streams split from the snapshot seed — bit-identical at
-/// any pool width, which is what makes the response cacheable.
-pub fn run_whatif(
-    snapshot: &TwinSnapshot,
-    spec: &WhatIfSpec,
-    threads: Option<usize>,
-) -> Result<WhatIfOutcome, String> {
-    // Specs arrive over the wire: bound them before they can wedge a
-    // handler thread (mirrors the Advance cap in the server).
+/// Reject a spec that arrives over the wire with values the twin cannot
+/// answer: wire-scale horizon or ensemble size, extra jobs that do not
+/// fit the machine or carry utilization outside [0, 1], wet-bulb values
+/// outside a physical band, or an invalid perturbation σ. Fixed bounds,
+/// checked before any fork runs.
+fn validate_spec(spec: &WhatIfSpec, system: &SystemConfig) -> Result<(), String> {
     const MAX_HORIZON_S: u64 = 366 * 86_400;
     const MAX_DRAWS: u64 = 4_096;
+    // Wider than any wet-bulb recorded on Earth (about -50 to 36 °C).
+    const WET_BULB_RANGE_C: std::ops::RangeInclusive<f64> = -50.0..=50.0;
+    const WET_BULB_OFFSET_RANGE_C: std::ops::RangeInclusive<f64> = -50.0..=50.0;
     if spec.horizon_s > MAX_HORIZON_S {
         return Err(format!(
             "horizon of {} s exceeds the {MAX_HORIZON_S} s (1 year) per-query cap",
@@ -218,7 +216,28 @@ pub fn run_whatif(
     if spec.draws > MAX_DRAWS {
         return Err(format!("{} draws exceed the {MAX_DRAWS} per-query cap", spec.draws));
     }
-    let partitions = &snapshot.twin().config.system.partitions;
+    if let Some(wb) = spec.wet_bulb_c {
+        if !WET_BULB_RANGE_C.contains(&wb) {
+            return Err(format!("wet_bulb_c of {wb} degC is outside {WET_BULB_RANGE_C:?} degC"));
+        }
+    }
+    if !WET_BULB_OFFSET_RANGE_C.contains(&spec.wet_bulb_offset_c) {
+        return Err(format!(
+            "wet_bulb_offset_c of {} degC is outside {WET_BULB_OFFSET_RANGE_C:?} degC",
+            spec.wet_bulb_offset_c
+        ));
+    }
+    let p = &spec.perturbations;
+    for (name, sigma) in [
+        ("rectifier_eff_abs", p.rectifier_eff_abs),
+        ("sivoc_eff_abs", p.sivoc_eff_abs),
+        ("component_power_rel", p.component_power_rel),
+    ] {
+        if !(sigma.is_finite() && sigma >= 0.0) {
+            return Err(format!("perturbation sigma {name} = {sigma} must be finite and >= 0"));
+        }
+    }
+    let partitions = &system.partitions;
     for job in &spec.extra_jobs {
         let Some(partition) = partitions.get(job.partition) else {
             return Err(format!(
@@ -234,7 +253,41 @@ pub fn run_whatif(
                 job.id.0, job.nodes, job.partition, partition.name, partition.nodes
             ));
         }
+        for (name, trace) in [("cpu_util", &job.cpu_util), ("gpu_util", &job.gpu_util)] {
+            let samples = match trace {
+                UtilTrace::Constant(u) => std::slice::from_ref(u),
+                UtilTrace::Series { quantum_s: 0, .. } => {
+                    return Err(format!(
+                        "extra job {} has a {name} series with a 0 s quantum",
+                        job.id.0
+                    ));
+                }
+                UtilTrace::Series { values, .. } => values.as_slice(),
+            };
+            if let Some(bad) = samples.iter().find(|u| !(0.0..=1.0).contains(*u)) {
+                return Err(format!(
+                    "extra job {} has {name} sample {bad}; utilization must be in [0, 1]",
+                    job.id.0
+                ));
+            }
+        }
     }
+    Ok(())
+}
+
+/// Answer a what-if from a snapshot: fork, apply the overrides, advance
+/// the horizon, and report marginal outcomes. `draws > 1` fans that many
+/// forks across the pool (`threads`, `None` = process default) with
+/// per-fork RNG streams split from the snapshot seed — bit-identical at
+/// any pool width, which is what makes the response cacheable.
+pub fn run_whatif(
+    snapshot: &TwinSnapshot,
+    spec: &WhatIfSpec,
+    threads: Option<usize>,
+) -> Result<WhatIfOutcome, String> {
+    // Specs arrive over the wire: bound them before they can wedge a
+    // handler thread (mirrors the Advance cap in the server).
+    validate_spec(spec, &snapshot.twin().config.system)?;
     let (from_s, to_s) = (snapshot.taken_at_s, snapshot.taken_at_s + spec.horizon_s);
     if spec.draws <= 1 {
         let run = run_fork(configured_fork(snapshot, spec)?, spec, None)?;
@@ -441,6 +494,45 @@ mod tests {
         assert!(run_whatif(&snap, &huge_horizon, Some(1)).is_err());
         let huge_draws = WhatIfSpec { draws: u64::MAX, horizon_s: 60, ..WhatIfSpec::default() };
         assert!(run_whatif(&snap, &huge_draws, Some(1)).is_err());
+
+        let short = WhatIfSpec { horizon_s: 60, ..WhatIfSpec::default() };
+        let rejected = |spec: WhatIfSpec| run_whatif(&snap, &spec, Some(1)).unwrap_err();
+        for wb in [f64::NAN, f64::INFINITY, 1e308, -273.0, 50.5] {
+            let err = rejected(WhatIfSpec { wet_bulb_c: Some(wb), ..short.clone() });
+            assert!(err.contains("wet_bulb_c"), "{wb}: {err}");
+        }
+        for off in [f64::NAN, f64::NEG_INFINITY, 1e308, -60.0] {
+            let err = rejected(WhatIfSpec { wet_bulb_offset_c: off, ..short.clone() });
+            assert!(err.contains("wet_bulb_offset_c"), "{off}: {err}");
+        }
+        let util_job = |cpu_util: UtilTrace| {
+            let mut job = Job::new(99, "u", 16, 600, 0, 0.5, 0.5);
+            job.cpu_util = cpu_util;
+            WhatIfSpec { extra_jobs: vec![job], ..short.clone() }
+        };
+        for u in [f32::NAN, f32::INFINITY, 1e30, -0.1, 1.5] {
+            let err = rejected(util_job(UtilTrace::Constant(u)));
+            assert!(err.contains("utilization"), "{u}: {err}");
+            let series = UtilTrace::Series { quantum_s: 15, values: vec![0.5, u, 0.5] };
+            let err = rejected(util_job(series));
+            assert!(err.contains("utilization"), "{u}: {err}");
+        }
+        let err = rejected(util_job(UtilTrace::Series { quantum_s: 0, values: vec![0.5] }));
+        assert!(err.contains("quantum"), "{err}");
+        for sigma in [-0.01, f64::NAN, f64::INFINITY] {
+            let mut spec = WhatIfSpec { draws: 4, ..short.clone() };
+            spec.perturbations.component_power_rel = sigma;
+            let err = rejected(spec);
+            assert!(err.contains("component_power_rel"), "{sigma}: {err}");
+        }
+        // The bounds are inclusive and leave ordinary what-ifs alone.
+        let edge = WhatIfSpec {
+            wet_bulb_c: Some(50.0),
+            wet_bulb_offset_c: -50.0,
+            extra_jobs: vec![Job::new(99, "edge", 16, 600, 0, 0.0, 1.0)],
+            ..short.clone()
+        };
+        assert!(run_whatif(&snap, &edge, Some(1)).is_ok());
     }
 
     #[test]

@@ -143,6 +143,37 @@ fn malformed_lines_answer_errors_without_dropping_the_connection() {
 }
 
 #[test]
+fn deeply_nested_line_answers_an_error_and_status_still_answers() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = spawn_server();
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    // 200 KB of `[` on one line: past the parser's depth limit it is a
+    // typed error, not a stack overflow that takes the process down.
+    let mut flood = "[".repeat(200 * 1024);
+    flood.push('\n');
+    writer.write_all(flood.as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response: Response = serde_json::from_str(line.trim()).unwrap();
+    match response {
+        Response::Error { message } => {
+            assert!(message.contains("recursion limit exceeded"), "{message}")
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+
+    writer.write_all(b"\"Status\"\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("Status"), "{line}");
+
+    handle.shutdown();
+}
+
+#[test]
 fn shutdown_request_stops_the_server() {
     let handle = spawn_server();
     let addr = handle.addr();

@@ -1,4 +1,4 @@
-//! Scenario-batch execution: the generic half of the ensemble engine.
+//! Scenario-batch execution: the twin's ensemble engine.
 //!
 //! The paper's hottest workloads are *ensembles* — Monte-Carlo UQ over the
 //! power-model parameters (§IV) and batched what-if studies (§IV-3) — all
@@ -13,8 +13,8 @@
 //! results are gathered in scenario order, so output is bit-identical for
 //! every pool width (`threads(1)` vs `threads(8)` — enforced by
 //! `tests/ensemble_determinism.rs`). See `docs/ENSEMBLES.md` for the
-//! architecture and the twin-level scenario types layered on top in
-//! `exadigit_core::ensemble`.
+//! architecture and for the service's `WhatIfSpec`, the twin's scenario
+//! type, whose UQ draws run through this engine.
 
 use crate::rng::Rng;
 use rayon::prelude::*;
@@ -28,19 +28,6 @@ pub struct ScenarioCtx {
     /// This scenario's private random stream, `Rng::new(seed).split(index)`.
     /// Independent of every other scenario's stream and of pool width.
     pub rng: Rng,
-}
-
-/// A self-contained unit of twin work that an [`EnsembleRunner`] can batch:
-/// UQ draws, what-if variants, plant-spec sweep points, …
-///
-/// Implementations must be pure functions of `(self, ctx)` — no global
-/// state — so that batches stay reproducible under any pool width.
-pub trait Scenario: Sync {
-    /// What one run of this scenario produces.
-    type Output: Send;
-
-    /// Run the scenario to completion.
-    fn run(&self, ctx: &mut ScenarioCtx) -> Self::Output;
 }
 
 /// Batches N independent scenarios across the thread-pool executor with
@@ -77,17 +64,6 @@ impl EnsembleRunner {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
-    }
-
-    /// Drop any pinned width and fall back to the process-wide default.
-    pub fn threads_default(mut self) -> Self {
-        self.threads = None;
-        self
-    }
-
-    /// The seed scenario streams derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The pool width batches from this runner will use.
@@ -151,11 +127,6 @@ impl EnsembleRunner {
     {
         self.map((0..n).collect(), |ctx, _| f(ctx))
     }
-
-    /// Batch a slice of [`Scenario`] values, gathering outputs in order.
-    pub fn run_scenarios<S: Scenario>(&self, scenarios: &[S]) -> Vec<S::Output> {
-        self.map(scenarios.iter().collect(), |ctx, scenario| scenario.run(ctx))
-    }
 }
 
 #[cfg(test)]
@@ -210,22 +181,6 @@ mod tests {
         let ok: Result<Vec<u64>, String> =
             runner.try_map((0..8u64).collect(), |_ctx, x| Ok(x + 1));
         assert_eq!(ok.unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn scenario_trait_batches() {
-        struct Offset(f64);
-        impl Scenario for Offset {
-            type Output = f64;
-            fn run(&self, ctx: &mut ScenarioCtx) -> f64 {
-                self.0 + ctx.rng.uniform()
-            }
-        }
-        let scenarios = [Offset(10.0), Offset(20.0), Offset(30.0)];
-        let out = EnsembleRunner::new(9).threads(2).run_scenarios(&scenarios);
-        assert_eq!(out.len(), 3);
-        assert!(out[0] >= 10.0 && out[0] < 11.0);
-        assert!(out[2] >= 30.0 && out[2] < 31.0);
     }
 
     #[test]

@@ -23,12 +23,9 @@
 //!   Modelica cooling model as an FMU and couples it to RAPS through the FMI
 //!   standard; we reproduce that architectural boundary with a Rust trait so
 //!   models remain swappable.
-//! * [`master`] — a simple multi-rate Jacobi co-simulation master that steps
-//!   several [`fmi::CoSimModel`]s and moves values across declared
-//!   connections.
-//! * [`ensemble`] — the scenario-batch engine: [`ensemble::EnsembleRunner`]
-//!   fans N independent scenarios (UQ draws, what-if variants, sweeps)
-//!   across the thread-pool executor with per-scenario RNG streams and
+//! * [`ensemble`] — the batch engine: [`ensemble::EnsembleRunner`] fans N
+//!   independent runs (UQ draws, replay days, grid points, what-if forks)
+//!   across the thread-pool executor with per-run RNG streams and
 //!   order-deterministic gathering (see `docs/ENSEMBLES.md`).
 //!
 //! Everything here is deliberately free of global state so that replays are
@@ -43,13 +40,12 @@ pub mod clock;
 pub mod ensemble;
 pub mod events;
 pub mod fmi;
-pub mod master;
 pub mod rng;
 pub mod series;
 pub mod stats;
 
 pub use clock::SimClock;
-pub use ensemble::{EnsembleRunner, Scenario, ScenarioCtx};
+pub use ensemble::{EnsembleRunner, ScenarioCtx};
 pub use events::{Event, EventKind, EventQueue};
 pub use fmi::{Causality, CoSimModel, FmiError, VarRef, VariableDescriptor, VariableRegistry};
 pub use rng::Rng;

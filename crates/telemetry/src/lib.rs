@@ -13,7 +13,7 @@
 //! * [`generator`] — the synthetic physical twin;
 //! * [`reader`] — pluggable telemetry readers (§V: "a pluggable
 //!   architecture was developed for reading different types of bespoke
-//!   telemetry datasets"), including a PM100-like adapter;
+//!   telemetry datasets") behind one plug-in trait;
 //! * [`writer`] — CSV/JSON writers for generated datasets;
 //! * [`validate`] — channel-comparison metrics for V&V reports;
 //! * [`replay`] — the L2 cooling backend: a `CoSimModel` that answers

@@ -3,8 +3,9 @@
 //! §V of the paper: "A pluggable architecture was developed for reading
 //! different types of bespoke telemetry datasets", naming the PM100 job
 //! power dataset of Marconi100 as one consumer. [`TelemetryReader`] is the
-//! plug-in trait; two implementations ship here: the native CSV format
-//! written by [`crate::writer`] and a PM100-like JSON adapter.
+//! plug-in trait; the native CSV format written by [`crate::writer`] ships
+//! here as [`CsvJobReader`], and a dataset adapter such as PM100 is one
+//! more implementation of the trait.
 
 use crate::schema::JobRecord;
 
@@ -93,61 +94,6 @@ impl TelemetryReader for CsvJobReader {
     }
 }
 
-/// PM100-like JSON adapter: an array of job objects with average node
-/// power (the PM100 dataset publishes job-level power aggregates rather
-/// than traces). Average power is expanded into a flat trace.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Pm100JsonReader;
-
-impl TelemetryReader for Pm100JsonReader {
-    fn format_name(&self) -> &'static str {
-        "pm100-json"
-    }
-
-    fn read_jobs(&self, content: &str) -> Result<Vec<JobRecord>, ReadError> {
-        let parsed: serde_json::Value = serde_json::from_str(content)
-            .map_err(|e| ReadError::Malformed(format!("json: {e}")))?;
-        let arr = parsed.as_array().ok_or(ReadError::Malformed("expected a JSON array".into()))?;
-        let mut out = Vec::with_capacity(arr.len());
-        for (i, v) in arr.iter().enumerate() {
-            let get = |key: &'static str| {
-                v.get(key).ok_or(ReadError::MissingField(key))
-            };
-            let num = |key: &'static str| -> Result<f64, ReadError> {
-                get(key)?.as_f64().ok_or(ReadError::Malformed(format!("record {i}: {key} not numeric")))
-            };
-            let job_id = num("job_id")? as u64;
-            let node_count = num("num_nodes")? as usize;
-            let submit = num("submit_time")? as u64;
-            let start = v.get("start_time").and_then(|x| x.as_f64()).unwrap_or(submit as f64) as u64;
-            let run_time = num("run_time")? as u64;
-            // PM100 carries average node power; split it between CPU and
-            // GPU by a typical accelerator share.
-            let avg_node_power = num("avg_node_power")?;
-            let gpu_share = 0.7;
-            let gpus = v.get("num_gpus_per_node").and_then(|x| x.as_f64()).unwrap_or(4.0).max(1.0);
-            let steps = (run_time / 15).max(1) as usize;
-            let cpu_w = (avg_node_power * (1.0 - gpu_share)) as f32;
-            let gpu_w = (avg_node_power * gpu_share / gpus) as f32;
-            out.push(JobRecord {
-                job_id,
-                job_name: v
-                    .get("job_name")
-                    .and_then(|x| x.as_str())
-                    .unwrap_or("pm100-job")
-                    .to_string(),
-                node_count,
-                submit_time_s: submit,
-                start_time_s: start,
-                wall_time_s: run_time,
-                cpu_power_w: vec![cpu_w; steps],
-                gpu_power_w: vec![gpu_w; steps],
-            });
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,33 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn pm100_adapter_parses() {
-        let content = r#"[
-            {"job_id": 9, "num_nodes": 16, "submit_time": 50, "run_time": 600,
-             "avg_node_power": 1200.0, "num_gpus_per_node": 4, "job_name": "lammps"}
-        ]"#;
-        let jobs = Pm100JsonReader.read_jobs(content).unwrap();
-        assert_eq!(jobs.len(), 1);
-        let j = &jobs[0];
-        assert_eq!(j.node_count, 16);
-        assert_eq!(j.wall_time_s, 600);
-        assert_eq!(j.cpu_power_w.len(), 40);
-        // Power split: 30 % CPU, 70 % across 4 GPUs.
-        assert!((j.cpu_power_w[0] - 360.0).abs() < 0.5);
-        assert!((j.gpu_power_w[0] - 210.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn pm100_rejects_missing_fields() {
-        let err = Pm100JsonReader.read_jobs(r#"[{"job_id": 1}]"#).unwrap_err();
-        assert!(matches!(err, ReadError::MissingField(_)));
-        let err = Pm100JsonReader.read_jobs("{}").unwrap_err();
-        assert!(matches!(err, ReadError::Malformed(_)));
-    }
-
-    #[test]
     fn readers_report_formats() {
         assert_eq!(CsvJobReader.format_name(), "exadigit-csv");
-        assert_eq!(Pm100JsonReader.format_name(), "pm100-json");
     }
 }
