@@ -21,7 +21,8 @@
 
 use exadigit_core::config::TwinConfig;
 use exadigit_service::{
-    Request, Response, ServiceClient, TelemetryFeed, TwinServer, TwinService, WhatIfSpec,
+    Request, Response, ServerConfig, ServiceClient, TelemetryFeed, TwinServer, TwinService,
+    WhatIfSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -80,8 +81,7 @@ fn main() {
     // ---- Phase 1: sustained mixed load on the default-sized pool ----
     let handle = TwinServer::bind(service(), "127.0.0.1:0")
         .expect("bind loopback")
-        .with_workers(4)
-        .with_queue_depth(256)
+        .with_config(ServerConfig { workers: 4, queue_depth: 256, ..ServerConfig::default() })
         .spawn();
     let addr = handle.addr();
     let mut setup = ServiceClient::connect(addr).expect("connect");
@@ -167,8 +167,7 @@ fn main() {
     // excess, and every refusal must converge through retry.
     let handle = TwinServer::bind(service(), "127.0.0.1:0")
         .expect("bind loopback")
-        .with_workers(1)
-        .with_queue_depth(2)
+        .with_config(ServerConfig { workers: 1, queue_depth: 2, ..ServerConfig::default() })
         .spawn();
     let addr = handle.addr();
     let mut setup = ServiceClient::connect(addr).expect("connect");

@@ -10,69 +10,27 @@
 //! ```
 
 use exadigit_bench::{mw, section};
-use exadigit_raps::config::SystemConfig;
-use exadigit_raps::power::{PowerDelivery, PowerModel};
-use exadigit_telemetry::SyntheticTwin;
+use exadigit_telemetry::{power_verification, SyntheticTwin};
 
-fn hpl_power(model: &PowerModel) -> f64 {
-    // 9216 nodes at GPU 79 % / CPU 33 %, the rest idle (§IV-2).
-    let mut acc = model.new_accumulator();
-    for node in 0..9472usize {
-        let rack = model.rack_of_node(node);
-        if node < 9216 {
-            model.add_nodes(&mut acc, rack, 1, 0.33, 0.79, 4);
-        } else {
-            model.add_nodes(&mut acc, rack, 1, 0.0, 0.0, 4);
-        }
-    }
-    model.evaluate(&acc).system_w
-}
+/// The paper's (telemetry MW, RAPS MW, % error) for each row.
+const PAPER: [(f64, f64, f64); 3] = [(7.4, 7.24, 2.1), (21.3, 22.3, 4.7), (27.4, 28.2, 3.1)];
 
 fn main() {
     section("Table III — RAPS power verification tests");
-    let model = PowerModel::new(SystemConfig::frontier(), PowerDelivery::StandardAC);
-    let twin = SyntheticTwin::frontier();
-
-    let rows = [
-        (
-            "Idle power",
-            9472,
-            twin.measured_uniform_power(0.0, 0.0),
-            model.uniform_power(0.0, 0.0).system_w,
-            (7.4, 7.24, 2.1),
-        ),
-        (
-            "HPL (core)",
-            9216,
-            twin.measured_uniform_power(0.33, 0.79) - {
-                // telemetry side: 9216 active / 256 idle under the twin's
-                // perturbed model
-                let pm = PowerModel::new(twin.perturbed_system(), PowerDelivery::StandardAC);
-                pm.uniform_power(0.33, 0.79).system_w - hpl_power(&pm)
-            },
-            hpl_power(&model),
-            (21.3, 22.3, 4.7),
-        ),
-        (
-            "Peak power",
-            9472,
-            twin.measured_uniform_power(1.0, 1.0),
-            model.uniform_power(1.0, 1.0).system_w,
-            (27.4, 28.2, 3.1),
-        ),
-    ];
+    let rows = power_verification(&SyntheticTwin::frontier());
 
     println!(
         "  {:<12} {:>6} {:>16} {:>12} {:>9}   {:>28}",
         "Test", "Nodes", "Telemetry (MW)", "RAPS (MW)", "% Error", "paper (tele / RAPS / %err)"
     );
-    for (name, nodes, telemetry_w, raps_w, (p_tele, p_raps, p_err)) in rows {
-        let err = 100.0 * (raps_w - telemetry_w) / telemetry_w;
+    for (row, (p_tele, p_raps, p_err)) in rows.iter().zip(PAPER) {
         println!(
-            "  {name:<12} {nodes:>6} {:>16.2} {:>12.2} {:>8.1} %   {:>10.1} / {:>5.2} / {:>4.1}",
-            mw(telemetry_w),
-            mw(raps_w),
-            err.abs(),
+            "  {:<12} {:>6} {:>16.2} {:>12.2} {:>8.1} %   {:>10.1} / {:>5.2} / {:>4.1}",
+            row.name,
+            row.nodes,
+            mw(row.telemetry_w),
+            mw(row.raps_w),
+            row.error_pct.abs(),
             p_tele,
             p_raps,
             p_err,

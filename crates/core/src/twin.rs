@@ -130,12 +130,6 @@ impl DigitalTwin {
         self.sim.report()
     }
 
-    /// The event kernel's observability counters (shared atomic
-    /// handles; see `exadigit_raps::metrics::KernelMetrics`).
-    pub fn kernel_metrics(&self) -> &exadigit_raps::metrics::KernelMetrics {
-        self.sim.metrics()
-    }
-
     /// Route the event kernel's counts through caller-owned handles
     /// (how the service feeds its metrics registry). Counters are
     /// diagnostics, not state: they are never serialized, and forks of

@@ -306,11 +306,6 @@ impl HydraulicNetwork {
         self.node_names.len()
     }
 
-    /// Branch name (for registries/diagnostics).
-    pub fn branch_name(&self, b: BranchId) -> &str {
-        &self.branches[b.0].name
-    }
-
     /// Update the speed of every pump element on a branch.
     pub fn set_pump_speed(&mut self, b: BranchId, new_speed: f64) {
         for el in &mut self.branches[b.0].elements {

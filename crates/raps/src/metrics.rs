@@ -70,13 +70,4 @@ impl KernelMetrics {
             }
         }
     }
-
-    /// Total events stepped across every kind.
-    pub fn events_total(&self) -> u64 {
-        self.job_arrivals.get()
-            + self.job_completions.get()
-            + self.wet_bulb_breakpoints.get()
-            + self.cooling_quanta.get()
-            + self.record_boundaries.get()
-    }
 }

@@ -966,11 +966,6 @@ impl RapsSimulation {
         })
     }
 
-    /// The kernel's observability counters (shared atomic handles).
-    pub fn metrics(&self) -> &KernelMetrics {
-        &self.metrics
-    }
-
     /// Replace the kernel's counter handles — how a service routes the
     /// kernel's counts into its metrics registry. Counts accumulated on
     /// the old handles stay with them; attach before running. Later

@@ -104,7 +104,7 @@ const SLOW_LOG_CAPACITY: usize = 32;
 pub(crate) struct ServiceObs {
     /// The single namespace exposition reads.
     pub registry: Registry,
-    /// Hot-path master switch (`TwinService::with_observability`). Off
+    /// Hot-path master switch (`TwinService::set_observability`). Off
     /// skips timestamping, tracing, and counting — the configuration the
     /// overhead bench compares against.
     enabled: AtomicBool,

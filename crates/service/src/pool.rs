@@ -38,6 +38,7 @@ use exadigit_obs::{HttpExporter, Stage, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -59,14 +60,13 @@ pub struct ServerConfig {
     /// Per-connection in-flight cap (fairness): one pipelining client
     /// cannot occupy every worker and queue slot.
     pub max_inflight_per_client: usize,
-    /// Back-off hint carried by [`Response::Busy`], milliseconds.
-    pub retry_after_ms: u64,
-    /// How long a reader sleeps when every socket it owns is idle.
-    /// Shorter naps shave admission latency at the cost of idle CPU;
-    /// the productive/wasted wakeup counters
-    /// (`exadigit_reader_wakeups_total`) show which way to tune it.
-    pub reader_nap: Duration,
 }
+
+/// Back-off hint carried by [`Response::Busy`], milliseconds.
+const RETRY_AFTER_MS: u64 = 20;
+
+/// How long a reader sleeps when every socket it owns is idle.
+const READER_NAP: Duration = Duration::from_micros(250);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -75,8 +75,6 @@ impl Default for ServerConfig {
             readers: 2,
             queue_depth: 128,
             max_inflight_per_client: 2,
-            retry_after_ms: 20,
-            reader_nap: Duration::from_micros(250),
         }
     }
 }
@@ -229,9 +227,67 @@ impl ConnShared {
 /// The read half of a connection, owned by exactly one reader thread.
 struct Connection {
     stream: TcpStream,
-    buf: Vec<u8>,
+    lines: LineBuffer,
     next_seq: u64,
     shared: Arc<ConnShared>,
+}
+
+/// A pending line longer than [`MAX_LINE_BYTES`].
+#[derive(Debug)]
+struct LineTooLong;
+
+/// Bytes read from one connection, cut into `\n`-terminated lines.
+///
+/// The scan cursor means each byte is searched for a newline once, no
+/// matter how finely a long line is split across reads, and handed-out
+/// lines are dropped in one [`LineBuffer::compact`] rather than one
+/// front `drain` per line.
+#[derive(Default)]
+struct LineBuffer {
+    buf: Vec<u8>,
+    /// Start of the first line not yet handed out.
+    start: usize,
+    /// `buf[start..scanned]` is known to hold no newline.
+    scanned: usize,
+}
+
+impl LineBuffer {
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete line, without its newline. Errs once the
+    /// pending line exceeds [`MAX_LINE_BYTES`] (newline included) —
+    /// the blocking reader's cap.
+    fn next_line(&mut self) -> Result<Option<Range<usize>>, LineTooLong> {
+        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(offset) => {
+                let end = self.scanned + offset;
+                if end + 1 - self.start > MAX_LINE_BYTES {
+                    return Err(LineTooLong);
+                }
+                let line = self.start..end;
+                self.start = end + 1;
+                self.scanned = self.start;
+                Ok(Some(line))
+            }
+            None => {
+                self.scanned = self.buf.len();
+                if self.buf.len() - self.start > MAX_LINE_BYTES {
+                    Err(LineTooLong)
+                } else {
+                    Ok(None)
+                }
+            }
+        }
+    }
+
+    /// Drop the lines already handed out.
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
+    }
 }
 
 enum Pump {
@@ -252,34 +308,47 @@ struct ReaderCtx {
     obs: Arc<ServiceObs>,
 }
 
+/// Reads one pump may make before the reader moves on to its other
+/// connections (64 KiB at 4 KiB a read): a client that never stops
+/// sending cannot hold the reader.
+const PUMP_READS: usize = 16;
+
 /// Drain readable bytes from one connection and admit complete lines.
 fn pump_connection(conn: &mut Connection, ctx: &ReaderCtx) -> Pump {
+    let Connection { stream, lines, next_seq, shared } = conn;
     let mut progressed = false;
     let mut tmp = [0u8; 4096];
-    let closed = loop {
-        match conn.stream.read(&mut tmp) {
-            Ok(0) => break true,
-            Ok(n) => {
-                conn.buf.extend_from_slice(&tmp[..n]);
-                progressed = true;
-                if conn.buf.len() > MAX_LINE_BYTES {
-                    // Newline-free flood: same cap as the blocking
-                    // reader — drop the connection, never grow forever.
-                    break true;
-                }
+    let mut closed = false;
+    for _ in 0..PUMP_READS {
+        let n = match stream.read(&mut tmp) {
+            Ok(0) => {
+                closed = true;
+                break;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break true,
-        }
-    };
-    while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = conn.buf.drain(..=pos).collect();
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                closed = true;
+                break;
+            }
+        };
+        lines.extend(&tmp[..n]);
         progressed = true;
-        if process_line(conn, &line[..line.len() - 1], ctx) {
-            return Pump::Closed;
+        loop {
+            let line = match lines.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                // A line past the cap: drop the connection, never grow
+                // forever.
+                Err(LineTooLong) => return Pump::Closed,
+            };
+            if process_line(next_seq, shared, &lines.buf[line], ctx) {
+                return Pump::Closed;
+            }
         }
     }
+    lines.compact();
     if closed {
         Pump::Closed
     } else if progressed {
@@ -291,18 +360,23 @@ fn pump_connection(conn: &mut Connection, ctx: &ReaderCtx) -> Pump {
 
 /// Parse one request line and run admission control. Returns true when
 /// the connection should close (shutdown observed on this line).
-fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
+fn process_line(
+    next_seq: &mut u64,
+    shared: &Arc<ConnShared>,
+    line: &[u8],
+    ctx: &ReaderCtx,
+) -> bool {
     let text = String::from_utf8_lossy(line);
     let trimmed = text.trim();
     if trimmed.is_empty() {
         return false;
     }
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
+    let seq = *next_seq;
+    *next_seq += 1;
     let request: Request = match serde_json::from_str(trimmed) {
         Ok(request) => request,
         Err(e) => {
-            conn.shared
+            shared
                 .complete(seq, Response::Error { message: format!("malformed request: {e}") });
             return false;
         }
@@ -310,7 +384,7 @@ fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
     // Shutdown is answered inline (no worker needed) and starts the
     // drain: flag the tier, wake the acceptor, close this connection.
     if matches!(request, Request::Shutdown) {
-        conn.shared.complete(seq, Response::ShuttingDown);
+        shared.complete(seq, Response::ShuttingDown);
         ctx.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(ctx.addr);
         return true;
@@ -318,7 +392,7 @@ fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
     // A request racing a shutdown from another connection is refused:
     // admitted requests finish, new ones do not start.
     if ctx.shutdown.load(Ordering::SeqCst) {
-        conn.shared
+        shared
             .complete(seq, Response::Error { message: "server is shutting down".into() });
         return true;
     }
@@ -329,7 +403,7 @@ fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
         if ctx.obs.on() {
             ctx.obs.trace.push(TraceEvent {
                 at_us: ctx.obs.trace.now_us(),
-                conn: conn.shared.id,
+                conn: shared.id,
                 seq,
                 request: kind,
                 stage,
@@ -337,19 +411,19 @@ fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
             });
         }
     };
-    let busy = Response::Busy { retry_after_ms: ctx.config.retry_after_ms };
-    if conn.shared.inflight.load(Ordering::SeqCst) >= ctx.config.max_inflight_per_client {
+    let busy = Response::Busy { retry_after_ms: RETRY_AFTER_MS };
+    if shared.inflight.load(Ordering::SeqCst) >= ctx.config.max_inflight_per_client {
         if ctx.obs.on() {
             ctx.obs.busy_inflight.inc();
         }
         trace_stage(Stage::Rejected);
-        conn.shared.complete(seq, busy);
+        shared.complete(seq, busy);
         return false;
     }
-    conn.shared.inflight.fetch_add(1, Ordering::SeqCst);
+    shared.inflight.fetch_add(1, Ordering::SeqCst);
     trace_stage(Stage::Admitted);
     let ticket =
-        Ticket { conn: Arc::clone(&conn.shared), seq, request, admitted_at: Instant::now() };
+        Ticket { conn: Arc::clone(shared), seq, request, admitted_at: Instant::now() };
     if ctx.queue.try_push(ticket).is_some() {
         // Queue full (or closing): back the client off instead of
         // queueing unboundedly.
@@ -357,8 +431,8 @@ fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
             ctx.obs.busy_queue_full.inc();
         }
         trace_stage(Stage::Rejected);
-        conn.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        conn.shared.complete(seq, busy);
+        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        shared.complete(seq, busy);
     }
     false
 }
@@ -398,7 +472,7 @@ fn reader_loop(incoming: mpsc::Receiver<Connection>, ctx: ReaderCtx) {
             }
         }
         if !progressed {
-            std::thread::sleep(ctx.config.reader_nap);
+            std::thread::sleep(READER_NAP);
         }
     }
 }
@@ -426,6 +500,7 @@ fn worker_loop(queue: Arc<RequestQueue>, service: Arc<TwinService>) {
         let started = Instant::now();
         let response = service.handle(&ticket.request);
         let handled = started.elapsed();
+        ticket.conn.complete(ticket.seq, response);
         if on {
             obs.trace.push(TraceEvent {
                 at_us: obs.trace.now_us(),
@@ -433,7 +508,7 @@ fn worker_loop(queue: Arc<RequestQueue>, service: Arc<TwinService>) {
                 seq: ticket.seq,
                 request: kind,
                 stage: Stage::Written,
-                stage_us: handled.as_micros() as u64,
+                stage_us: started.elapsed().as_micros() as u64,
             });
             let logged = obs.slowlog.record(
                 kind,
@@ -445,7 +520,6 @@ fn worker_loop(queue: Arc<RequestQueue>, service: Arc<TwinService>) {
                 obs.slow_queries_total.inc();
             }
         }
-        ticket.conn.complete(ticket.seq, response);
         ticket.conn.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -498,7 +572,7 @@ fn supervise(
         next_conn_id += 1;
         let conn = Connection {
             stream,
-            buf: Vec::new(),
+            lines: LineBuffer::default(),
             next_seq: 0,
             shared: Arc::new(ConnShared {
                 write: Mutex::new(WriteState {
@@ -554,31 +628,6 @@ impl TwinServer {
     /// Replace the whole serving-tier configuration (builder style).
     pub fn with_config(mut self, config: ServerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Set the worker-thread count (builder style).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
-        self
-    }
-
-    /// Set the bounded request-queue depth (builder style).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.config.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Set the per-connection in-flight cap (builder style).
-    pub fn with_per_client_inflight(mut self, cap: usize) -> Self {
-        self.config.max_inflight_per_client = cap.max(1);
-        self
-    }
-
-    /// Set the readers' idle nap (builder style): how long a reader
-    /// sleeps when every socket it owns is idle.
-    pub fn with_reader_nap(mut self, nap: Duration) -> Self {
-        self.config.reader_nap = nap;
         self
     }
 
@@ -677,5 +726,77 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.drain();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exadigit_sim::Rng;
+
+    /// Feed `stream` to a [`LineBuffer`] in `cuts`-sized reads, compacting
+    /// where `compact_at` says, and collect every line handed out.
+    fn split_in_chunks(stream: &[u8], cuts: &[usize], compact_at: &[bool]) -> Vec<Vec<u8>> {
+        let mut lines = LineBuffer::default();
+        let mut out = Vec::new();
+        let mut at = 0;
+        for (i, &cut) in cuts.iter().chain(std::iter::repeat(&usize::MAX)).enumerate() {
+            if at == stream.len() {
+                break;
+            }
+            let end = at.saturating_add(cut.max(1)).min(stream.len());
+            lines.extend(&stream[at..end]);
+            at = end;
+            while let Some(line) = lines.next_line().unwrap() {
+                out.push(lines.buf[line].to_vec());
+            }
+            if compact_at.get(i).copied().unwrap_or(true) {
+                lines.compact();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn any_chunking_of_a_stream_yields_the_same_lines() {
+        let mut rng = Rng::new(0x11E5);
+        for case in 0..256 {
+            let stream: Vec<u8> = (0..rng.uniform_usize(400))
+                .map(|_| if rng.chance(0.1) { b'\n' } else { b'a' + rng.uniform_usize(26) as u8 })
+                .collect();
+            let mut expected: Vec<Vec<u8>> =
+                stream.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+            expected.pop(); // the unterminated tail is not a line yet
+            let cuts: Vec<usize> = (0..64).map(|_| 1 + rng.uniform_usize(40)).collect();
+            let compact_at: Vec<bool> = (0..64).map(|_| rng.chance(0.5)).collect();
+            assert_eq!(split_in_chunks(&stream, &cuts, &compact_at), expected, "case {case}");
+            assert_eq!(split_in_chunks(&stream, &[stream.len()], &[true]), expected, "case {case}");
+        }
+    }
+
+    #[test]
+    fn the_cap_applies_to_the_pending_line_not_the_buffer() {
+        let mut lines = LineBuffer::default();
+        // Complete lines totalling more than the cap are fine…
+        let line = vec![b'x'; MAX_LINE_BYTES / 4];
+        for _ in 0..5 {
+            lines.extend(&line);
+            lines.extend(b"\n");
+        }
+        let mut count = 0;
+        while lines.next_line().unwrap().is_some() {
+            count += 1;
+        }
+        assert_eq!(count, 5);
+        // …and a line of exactly the cap, newline included, still passes.
+        lines.extend(&vec![b'y'; MAX_LINE_BYTES - 1]);
+        lines.extend(b"\n");
+        assert_eq!(lines.next_line().unwrap().map(|r| r.len()), Some(MAX_LINE_BYTES - 1));
+        lines.compact();
+        // One byte more on the pending line is refused, newline or not.
+        lines.extend(&vec![b'z'; MAX_LINE_BYTES]);
+        assert!(lines.next_line().unwrap().is_none());
+        lines.extend(b"\n");
+        assert!(lines.next_line().is_err());
     }
 }

@@ -100,23 +100,6 @@ impl TwinService {
         })
     }
 
-    /// Cap the snapshot store (builder style). Errs once any snapshot
-    /// has been taken: the cap is serving configuration, not a runtime
-    /// control, and re-capping the store would drop live snapshot ids.
-    pub fn with_max_snapshots(self, max_snapshots: usize) -> Result<Self, String> {
-        {
-            let mut store = self.snapshots.lock();
-            if !store.is_empty() {
-                return Err(format!(
-                    "snapshot cap must be configured before serving ({} snapshots already taken)",
-                    store.len()
-                ));
-            }
-            store.set_max_snapshots(max_snapshots)?;
-        }
-        Ok(self)
-    }
-
     /// Enable the durable tier (builder style): every snapshot taken
     /// from now on is also written under `dir`, capacity evictions spill
     /// to disk instead of erroring, and [`Request::Checkpoint`] /
@@ -198,30 +181,16 @@ impl TwinService {
         TwinService { cache: Mutex::new(cache), ..self }
     }
 
-    /// Turn the hot-path instrumentation on or off (builder style; on by
-    /// default). Off skips request timing, tracing and counting — the
-    /// arm the overhead benchmark compares against. Exposition keeps
-    /// working either way; counters simply stop moving.
-    pub fn with_observability(self, enabled: bool) -> Self {
-        self.obs.set_enabled(enabled);
-        self
-    }
-
-    /// Runtime form of [`Self::with_observability`]: flip the
-    /// instrumentation on a live service (one relaxed atomic store).
-    /// Lets an operator silence a hot twin without restarting it, and
-    /// lets the overhead benchmark interleave instrumented and
-    /// uninstrumented work on the *same* service instance.
+    /// Turn the hot-path instrumentation on or off (on by default) on a
+    /// live service (one relaxed atomic store). Off skips request
+    /// timing, tracing and counting — the arm the overhead benchmark
+    /// compares against. Exposition keeps working either way; counters
+    /// simply stop moving. Lets an operator silence a hot twin without
+    /// restarting it, and lets the overhead benchmark interleave
+    /// instrumented and uninstrumented work on the *same* service
+    /// instance.
     pub fn set_observability(&self, enabled: bool) {
         self.obs.set_enabled(enabled);
-    }
-
-    /// Set the slow-query threshold (builder style): a request whose
-    /// queue + handle time reaches `micros` is recorded in the
-    /// slow-query log surfaced by [`Request::Metrics`]. Default 250 ms.
-    pub fn with_slow_query_threshold_us(self, micros: u64) -> Self {
-        self.obs.slowlog.set_threshold_us(micros);
-        self
     }
 
     /// Pin the pool width query fan-out uses (builder style).
@@ -844,20 +813,6 @@ mod tests {
         let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
         assert_eq!(s.cache_entries, 0);
         assert!(matches!(svc.handle(&q), Response::Error { .. }));
-    }
-
-    #[test]
-    fn late_snapshot_cap_is_an_error_not_a_panic() {
-        let svc = service();
-        svc.handle(&Request::Advance { seconds: 300 });
-        svc.handle(&Request::Snapshot { label: "taken".into() });
-        let err = svc.with_max_snapshots(4).err().expect("late cap must be refused");
-        assert!(err.contains("before serving"), "{err}");
-        // Before any snapshot, the cap applies cleanly.
-        let svc = service().with_max_snapshots(1).unwrap();
-        svc.handle(&Request::Snapshot { label: "only".into() });
-        let r = svc.handle(&Request::Snapshot { label: "one too many".into() });
-        assert!(matches!(r, Response::Error { .. }), "{r:?}");
     }
 
     #[test]

@@ -231,24 +231,6 @@ impl SnapshotStore {
         })
     }
 
-    /// Re-cap an **empty** store in place, preserving its seed and any
-    /// configured persist directory (whose manifest is rewritten so the
-    /// new cap survives recovery). Errs once a snapshot exists: the cap
-    /// is serving configuration, not a runtime control.
-    pub fn set_max_snapshots(&mut self, max_snapshots: usize) -> Result<(), String> {
-        if !self.is_empty() {
-            return Err(format!(
-                "snapshot cap must be configured before serving ({} snapshots already taken)",
-                self.len()
-            ));
-        }
-        self.max_snapshots = max_snapshots.max(1);
-        if self.persist_dir.is_some() {
-            self.write_manifest().map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    }
-
     /// Damage reports collected while recovering the manifest (empty for
     /// a clean recovery or a store that was never recovered).
     pub fn recovery_warnings(&self) -> &[String] {

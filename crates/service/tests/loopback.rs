@@ -5,8 +5,8 @@
 
 use exadigit_core::config::TwinConfig;
 use exadigit_service::{
-    BatchOutcome, Request, Response, ServiceClient, TelemetryFeed, TwinServer, TwinService,
-    WhatIfOutcome, WhatIfSpec,
+    BatchOutcome, Request, Response, ServerConfig, ServiceClient, TelemetryFeed, TraceEntry,
+    TwinServer, TwinService, WhatIfOutcome, WhatIfSpec, MAX_LINE_BYTES,
 };
 use std::time::Duration;
 
@@ -173,6 +173,41 @@ fn deeply_nested_line_answers_an_error_and_status_still_answers() {
     handle.shutdown();
 }
 
+/// A newline-free line past the byte cap closes its own connection, and
+/// the one reader it shares with another connection keeps serving that
+/// one.
+#[test]
+fn over_cap_line_closes_its_connection_and_the_reader_keeps_serving() {
+    use std::io::{Read, Write};
+    let handle = TwinServer::bind(service(), "127.0.0.1:0")
+        .unwrap()
+        .with_config(ServerConfig { readers: 1, ..ServerConfig::default() })
+        .spawn();
+    let mut bystander = ServiceClient::connect(handle.addr()).unwrap();
+    let mut flood = std::net::TcpStream::connect(handle.addr()).unwrap();
+    flood.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    let mut sent = 0;
+    while sent <= MAX_LINE_BYTES {
+        if flood.write_all(&chunk).is_err() {
+            break; // the server already hung up
+        }
+        sent += chunk.len();
+    }
+    let mut byte = [0u8; 1];
+    match flood.read(&mut byte) {
+        Ok(0) => {}
+        Ok(_) => panic!("the server answered a line it should have refused"),
+        Err(e) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the over-cap connection was left open: {e}"
+        ),
+    }
+    let r = bystander.request(&Request::Status).unwrap();
+    assert!(matches!(r, Response::Status(_)), "{r:?}");
+    handle.shutdown();
+}
+
 #[test]
 fn shutdown_request_stops_the_server() {
     let handle = spawn_server();
@@ -285,7 +320,7 @@ fn batch_error_is_per_slot_over_the_wire() {
 fn out_of_range_extra_jobs_answer_errors_and_keep_every_worker() {
     let handle = TwinServer::bind(service(), "127.0.0.1:0")
         .unwrap()
-        .with_workers(2)
+        .with_config(ServerConfig { workers: 2, ..ServerConfig::default() })
         .spawn();
     let addr = handle.addr();
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -508,9 +543,12 @@ fn pipelined_overload_answers_busy_in_order() {
     let svc = service();
     let handle = TwinServer::bind(svc, "127.0.0.1:0")
         .unwrap()
-        .with_workers(1)
-        .with_queue_depth(1)
-        .with_per_client_inflight(2)
+        .with_config(ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            max_inflight_per_client: 2,
+            ..ServerConfig::default()
+        })
         .spawn();
     let mut setup = ServiceClient::connect(handle.addr()).unwrap();
     setup.request(&Request::Advance { seconds: 600 }).unwrap();
@@ -573,8 +611,7 @@ fn client_storm_converges_through_retry_on_busy() {
     let svc = service();
     let handle = TwinServer::bind(svc, "127.0.0.1:0")
         .unwrap()
-        .with_workers(2)
-        .with_queue_depth(2)
+        .with_config(ServerConfig { workers: 2, queue_depth: 2, ..ServerConfig::default() })
         .spawn();
     let addr = handle.addr();
     let mut setup = ServiceClient::connect(addr).unwrap();
@@ -702,6 +739,38 @@ fn metrics_verb_reports_live_instruments_over_the_wire() {
     // admitted, executed, written.
     assert!(!report.trace.is_empty());
     assert!(report.trace.iter().any(|t| t.request == "Query" && t.stage == "executing"));
+
+    // Each answered request closes its stages in lifecycle order. The
+    // `written` event is pushed after the response reaches the socket,
+    // so it can trail the client's next request by a moment: re-read
+    // the ring until every answered request (seq 0..=4) shows it.
+    let conn = report.trace.iter().find(|t| t.request == "Advance").expect("traced").conn;
+    let written = |trace: &[TraceEntry]| {
+        (0..=4u64).all(|seq| {
+            trace.iter().any(|t| t.conn == conn && t.seq == seq && t.stage == "written")
+        })
+    };
+    let mut trace = report.trace.clone();
+    // Each re-read adds three events to the 256-slot ring; 50 re-reads
+    // cannot evict the ones under test.
+    for _ in 0..50 {
+        if written(&trace) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let Response::Metrics(again) = client.request(&Request::Metrics).unwrap() else {
+            panic!()
+        };
+        trace = again.trace;
+    }
+    assert!(written(&trace), "every answered request is traced as written");
+    for seq in 0..=4u64 {
+        let stages: Vec<&TraceEntry> =
+            trace.iter().filter(|t| t.conn == conn && t.seq == seq).collect();
+        let names: Vec<&str> = stages.iter().map(|t| t.stage.as_str()).collect();
+        assert_eq!(names, ["admitted", "executing", "written"], "seq {seq}");
+        assert!(stages.windows(2).all(|w| w[0].at_us <= w[1].at_us), "seq {seq}: {stages:?}");
+    }
     assert!(report.trace.iter().any(|t| t.request == "Advance" && t.stage == "written"));
     let mut stages: Vec<&str> = report
         .trace
@@ -756,7 +825,8 @@ fn http_sidecar_serves_prometheus_text() {
 /// stop moving while the service keeps answering correctly.
 #[test]
 fn disabled_observability_stops_the_counters_not_the_service() {
-    let svc = service().with_observability(false);
+    let svc = service();
+    svc.set_observability(false);
     let handle = TwinServer::bind(svc, "127.0.0.1:0").unwrap().spawn();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
     let Response::Advanced { now_s, .. } =

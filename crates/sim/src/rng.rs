@@ -182,11 +182,6 @@ impl Rng {
         self.lognormal(mu, sigma2.sqrt())
     }
 
-    /// Pick a reference uniformly from a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.uniform_usize(items.len())]
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

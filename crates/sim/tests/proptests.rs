@@ -116,17 +116,6 @@ proptest! {
         prop_assert!(v >= s.min() - 1e-9 && v <= s.max() + 1e-9);
     }
 
-    /// Resampling at the original cadence reproduces the series.
-    #[test]
-    fn series_resample_identity(values in prop::collection::vec(-1e3f64..1e3, 2..64)) {
-        let s = TimeSeries::from_values(0.0, 15.0, values);
-        let r = s.resample(15.0);
-        prop_assert_eq!(r.len(), s.len());
-        for (a, b) in r.samples().zip(s.samples()) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
     /// Trapezoid integral of a constant series is exact.
     #[test]
     fn series_integral_of_constant(c in -1e3f64..1e3, n in 2usize..200) {

@@ -25,6 +25,7 @@ use exadigit_raps::simulation::{CoolingCoupling, RapsSimulation};
 use exadigit_raps::stats::RunReport;
 use exadigit_sim::clock::SECONDS_PER_DAY;
 use exadigit_sim::{Rng, TimeSeries};
+use exadigit_thermo::psychro::diurnal_wet_bulb;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic physical twin.
@@ -171,7 +172,7 @@ impl SyntheticTwin {
         let day_mean = self.params.wet_bulb_mean_c + rng.normal(0.0, 2.0);
         for i in 0..=1440 {
             let frac = (i % 1440) as f64 / 1440.0;
-            let base = exadigit_thermo_diurnal(day_mean, self.params.wet_bulb_amplitude_c, frac);
+            let base = diurnal_wet_bulb(day_mean, self.params.wet_bulb_amplitude_c, frac);
             series.push(base + drift.next(&mut rng));
         }
         series
@@ -296,13 +297,6 @@ impl SyntheticTwin {
         let model = exadigit_raps::power::PowerModel::new(sys, PowerDelivery::StandardAC);
         model.uniform_power(cpu_util, gpu_util).system_w
     }
-}
-
-/// Diurnal wet-bulb shape (re-exported from the thermo crate's
-/// psychrometrics to avoid a circular dependency in doc examples).
-fn exadigit_thermo_diurnal(mean: f64, amplitude: f64, day_fraction: f64) -> f64 {
-    use std::f64::consts::PI;
-    mean + amplitude * (2.0 * PI * (day_fraction - 0.375)).sin()
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //!   architecture was developed for reading different types of bespoke
 //!   telemetry datasets") behind one plug-in trait;
 //! * [`writer`] — CSV/JSON writers for generated datasets;
-//! * [`validate`] — channel-comparison metrics for V&V reports;
+//! * [`validate`] — channel-comparison metrics and the paper's two V&V
+//!   computations (the Fig. 7 cooling replay, the Table III power rows);
 //! * [`replay`] — the L2 cooling backend: a `CoSimModel` that answers
 //!   the FMI boundary from a recorded trace instead of simulating the
 //!   plant (see `docs/FIDELITY.md`).
@@ -32,4 +33,7 @@ pub mod writer;
 pub use generator::{SyntheticTwin, TelemetryDay, TwinParams};
 pub use replay::{CoolingTrace, ReplayCoolingModel};
 pub use schema::{CoolingChannels, JobRecord};
-pub use validate::{compare_channels, ChannelComparison};
+pub use validate::{
+    compare_channels, cooling_validation, power_verification, ChannelComparison,
+    CoolingValidation, PowerVerificationRow,
+};

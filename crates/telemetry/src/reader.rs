@@ -14,15 +14,12 @@ use crate::schema::JobRecord;
 pub enum ReadError {
     /// Malformed input with a line/record hint.
     Malformed(String),
-    /// A required field was missing.
-    MissingField(&'static str),
 }
 
 impl std::fmt::Display for ReadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReadError::Malformed(msg) => write!(f, "malformed telemetry: {msg}"),
-            ReadError::MissingField(field) => write!(f, "missing field: {field}"),
         }
     }
 }

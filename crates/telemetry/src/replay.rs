@@ -348,11 +348,6 @@ impl TelemetryFeed {
         self.jobs.len()
     }
 
-    /// Submit second of the next undelivered job.
-    pub fn next_submit_s(&self) -> Option<u64> {
-        self.jobs.front().map(|j| j.submit_time_s)
-    }
-
     /// Feed time: everything at or before this second has been delivered.
     pub fn delivered_through_s(&self) -> u64 {
         self.delivered_through_s
@@ -473,7 +468,6 @@ mod tests {
         let wb = TimeSeries::from_values(0.0, 3600.0, vec![15.0, 15.0]);
         let mut feed = TelemetryFeed::new(jobs, wb, 3600);
         assert_eq!(feed.pending_jobs(), 3);
-        assert_eq!(feed.next_submit_s(), Some(10));
         let first = feed.poll(120);
         assert_eq!(first.iter().map(|j| j.id.0).collect::<Vec<_>>(), vec![1, 2]);
         assert!(feed.poll(120).is_empty(), "polling the same window re-delivers nothing");

@@ -1,8 +1,7 @@
-//! Telemetry writers: CSV for job records and time series, JSON for
-//! whole datasets. Counterparts to the [`crate::reader`] plug-ins.
+//! Telemetry writers: CSV for job records, the counterpart of the
+//! [`crate::reader`] plug-ins.
 
 use crate::schema::JobRecord;
-use exadigit_sim::TimeSeries;
 use std::fmt::Write as _;
 
 /// Serialise job records to the native CSV format (see
@@ -27,39 +26,6 @@ pub fn jobs_to_csv(jobs: &[JobRecord]) -> String {
         );
     }
     out
-}
-
-/// Serialise a time series to two-column CSV (`time_s,value`).
-pub fn series_to_csv(series: &TimeSeries, header: &str) -> String {
-    let mut out = String::with_capacity(series.len() * 24 + header.len() + 16);
-    let _ = writeln!(out, "time_s,{header}");
-    for (t, v) in series.iter() {
-        let _ = writeln!(out, "{t},{v}");
-    }
-    out
-}
-
-/// Parse a two-column CSV back into a time series (assumes a uniform step,
-/// taken from the first two rows).
-pub fn series_from_csv(content: &str) -> Option<TimeSeries> {
-    let mut times = Vec::new();
-    let mut values = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        if i == 0 || line.trim().is_empty() {
-            continue;
-        }
-        let (t, v) = line.split_once(',')?;
-        times.push(t.trim().parse::<f64>().ok()?);
-        values.push(v.trim().parse::<f64>().ok()?);
-    }
-    if times.len() < 2 {
-        return None;
-    }
-    let dt = times[1] - times[0];
-    if dt <= 0.0 {
-        return None;
-    }
-    Some(TimeSeries::from_values(times[0], dt, values))
 }
 
 fn join_trace(trace: &[f32]) -> String {
@@ -116,20 +82,5 @@ mod tests {
         let csv = jobs_to_csv(&[rec]);
         let parsed = crate::reader::CsvJobReader.read_jobs(&csv).unwrap();
         assert_eq!(parsed[0].job_name, "bad_name_x");
-    }
-
-    #[test]
-    fn series_round_trip() {
-        let s = TimeSeries::from_values(0.0, 15.0, vec![1.5, 2.5, 3.5]);
-        let csv = series_to_csv(&s, "power_w");
-        let back = series_from_csv(&csv).unwrap();
-        assert_eq!(back.dt, 15.0);
-        assert_eq!(back.to_vec(), s.to_vec());
-    }
-
-    #[test]
-    fn series_from_garbage_is_none() {
-        assert!(series_from_csv("").is_none());
-        assert!(series_from_csv("time_s,v\n1,abc\n2,3").is_none());
     }
 }

@@ -3,10 +3,9 @@
 
 use exadigit_raps::config::SystemConfig;
 use exadigit_raps::job::Job;
-use exadigit_sim::TimeSeries;
 use exadigit_telemetry::reader::{CsvJobReader, TelemetryReader};
 use exadigit_telemetry::schema::JobRecord;
-use exadigit_telemetry::writer::{jobs_to_csv, series_from_csv, series_to_csv};
+use exadigit_telemetry::writer::jobs_to_csv;
 use proptest::prelude::*;
 
 fn arbitrary_record() -> impl Strategy<Value = JobRecord> {
@@ -50,19 +49,6 @@ proptest! {
             for (x, y) in a.cpu_power_w.iter().zip(&b.cpu_power_w) {
                 prop_assert!((x - y).abs() < 1e-3);
             }
-        }
-    }
-
-    /// Time-series CSV round-trips (uniform cadence preserved).
-    #[test]
-    fn series_csv_round_trip(values in prop::collection::vec(-1e6f64..1e6, 2..100)) {
-        let s = TimeSeries::from_values(0.0, 15.0, values);
-        let csv = series_to_csv(&s, "v");
-        let back = series_from_csv(&csv).unwrap();
-        prop_assert_eq!(back.len(), s.len());
-        prop_assert!((back.dt - 15.0).abs() < 1e-9);
-        for (a, b) in back.samples().zip(s.samples()) {
-            prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
         }
     }
 

@@ -89,11 +89,6 @@ pub fn gpm_to_m3s(gpm: f64) -> f64 {
     gpm * 3.785_411_784e-3 / 60.0
 }
 
-/// Convert m³/s to gallons-per-minute for report output.
-pub fn m3s_to_gpm(m3s: f64) -> f64 {
-    m3s * 60.0 / 3.785_411_784e-3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,9 +137,8 @@ mod tests {
 
     #[test]
     fn gpm_round_trip() {
-        let q = gpm_to_m3s(9500.0); // CTWP band from the paper
-        assert!((m3s_to_gpm(q) - 9500.0).abs() < 1e-9);
-        // 9500 gpm ≈ 0.599 m³/s
+        // 9500 gpm (the CTWP band from the paper) ≈ 0.599 m³/s
+        let q = gpm_to_m3s(9500.0);
         assert!((q - 0.5993).abs() < 0.001, "q={q}");
     }
 

@@ -103,14 +103,6 @@ impl TransportDelay {
         }
         t_weighted / vol_in
     }
-
-    /// Current mean temperature of the buffered fluid.
-    pub fn mean_temperature(&self) -> f64 {
-        if self.buffered_m3 <= 0.0 {
-            return self.initial_temp;
-        }
-        self.slugs.iter().map(|(t, v)| t * v).sum::<f64>() / self.buffered_m3
-    }
 }
 
 /// A well-mixed thermal volume (lumped capacitance):
@@ -163,11 +155,6 @@ impl ThermalVolume {
         // T_inf = t_in + q/(mdot cp)
         let t_inf = t_in + q_ext_w / (mdot * cp);
         self.temperature = t_inf + (self.temperature - t_inf) * decay;
-    }
-
-    /// Outlet temperature (well-mixed: equals the volume temperature).
-    pub fn outlet_temperature(&self) -> f64 {
-        self.temperature
     }
 }
 

@@ -45,11 +45,6 @@ pub fn saturation_specific_heat(t_low: f64, t_high: f64) -> f64 {
     (saturated_air_enthalpy(hi) - saturated_air_enthalpy(lo)) / dt
 }
 
-/// Density of dry air (kg/m³) at `t` (°C), ideal-gas at standard pressure.
-pub fn air_density(t: f64) -> f64 {
-    P_ATM / (287.055 * (t + 273.15))
-}
-
 /// A simple diurnal wet-bulb temperature profile used by the synthetic
 /// weather generator: sinusoid with minimum at 06:00 and maximum at 15:00,
 /// the typical continental summer shape for East Tennessee.
@@ -91,11 +86,6 @@ mod tests {
         assert!(cs_high > cs_low);
         // Typical magnitude: 3-7 kJ/kg-K over tower operating range.
         assert!(cs_low > 2_000.0 && cs_high < 9_000.0);
-    }
-
-    #[test]
-    fn air_density_reference() {
-        assert!((air_density(20.0) - 1.204).abs() < 0.005);
     }
 
     #[test]

@@ -6,86 +6,28 @@
 //! return temperatures and HTW supply pressure; model PUE within 1.4 % of
 //! the telemetry PUE.
 
-use exadigit_cooling::CoolingModel;
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
-use exadigit_sim::TimeSeries;
-use exadigit_telemetry::{compare_channels, SyntheticTwin};
+use exadigit_telemetry::{cooling_validation, CoolingValidation, SyntheticTwin};
 
-/// Record a 2-hour fragment of synthetic telemetry, replay the same heat
-/// inputs through the nominal model, and return (predicted, measured)
-/// channel pairs.
-fn validation_run() -> (Vec<(String, TimeSeries, TimeSeries)>, f64) {
+/// Record a 2-hour fragment of synthetic telemetry and replay the same
+/// jobs through the nominal model.
+fn validation_run() -> CoolingValidation {
     const SPAN_S: u64 = 7_200;
-    let twin = SyntheticTwin::frontier();
     let mut generator = WorkloadGenerator::new(WorkloadParams::default(), 7_777);
     let jobs: Vec<_> = generator
         .generate_day(0)
         .into_iter()
         .filter(|j| j.submit_time_s < SPAN_S)
         .collect();
-    let telemetry = twin.record_span(jobs.clone(), SPAN_S, 0);
-
-    // Replay: drive the *nominal* plant with the nominal power model's CDU
-    // heats for the same jobs (the validation study of §IV feeds measured
-    // rack power into the model; our replay recomputes it from the same
-    // job set through the unperturbed RAPS).
-    let mut sim = exadigit_raps::simulation::RapsSimulation::new(
-        exadigit_raps::config::SystemConfig::frontier(),
-        exadigit_raps::power::PowerDelivery::StandardAC,
-        exadigit_raps::scheduler::Policy::FirstFit,
-        15,
-    );
-    let model = CoolingModel::frontier();
-    let coupling =
-        exadigit_raps::simulation::CoolingCoupling::attach(Box::new(model), 25).unwrap();
-    sim.attach_cooling(coupling);
-    sim.set_wet_bulb(telemetry.wet_bulb.clone());
-    sim.submit_jobs(jobs);
-
-    let mut pred_flow = TimeSeries::new(0.0, 15.0);
-    let mut pred_temp = TimeSeries::new(0.0, 15.0);
-    let mut pred_press = TimeSeries::new(0.0, 30.0);
-    let mut pred_pue = TimeSeries::new(0.0, 15.0);
-    let (vr_flow, vr_temp, vr_press, vr_pue) = {
-        let m = sim.cooling_model().unwrap();
-        (
-            m.var_by_name("cdu[1].primary_flow").unwrap().vr,
-            m.var_by_name("cdu[1].primary_return_temp").unwrap().vr,
-            m.var_by_name("facility.htw_supply_pressure").unwrap().vr,
-            m.var_by_name("pue").unwrap().vr,
-        )
-    };
-    for sec in 0..SPAN_S {
-        sim.tick().unwrap();
-        let t = sec + 1;
-        let m = sim.cooling_model().unwrap();
-        if t % 15 == 0 {
-            pred_flow.push(m.get_real(vr_flow).unwrap());
-            pred_temp.push(m.get_real(vr_temp).unwrap());
-            pred_pue.push(m.get_real(vr_pue).unwrap());
-        }
-        if t % 30 == 0 {
-            pred_press.push(m.get_real(vr_press).unwrap());
-        }
-    }
-
-    let pairs = vec![
-        ("cdu[1].primary_flow".to_string(), pred_flow, telemetry.cooling.cdu_primary_flow[0].clone()),
-        ("cdu[1].primary_return_temp".to_string(), pred_temp, telemetry.cooling.cdu_return_temp[0].clone()),
-        ("facility.htw_supply_pressure".to_string(), pred_press, telemetry.cooling.htw_supply_pressure.clone()),
-    ];
-    // PUE handled separately for the 1.4 % criterion.
-    let skip = 1_800.0; // model spin-up
-    let pue_cmp = compare_channels("pue", &pred_pue, &telemetry.cooling.pue, skip);
-    (pairs, pue_cmp.mean_bias_percent().abs())
+    cooling_validation(&SyntheticTwin::frontier(), jobs, SPAN_S)
 }
 
 #[test]
 fn fig7_channels_within_reasonable_bounds() {
-    let (pairs, pue_bias) = validation_run();
-    let skip = 1_800.0;
-    for (name, predicted, measured) in &pairs {
-        let cmp = compare_channels(name.clone(), predicted, measured, skip);
+    let v = validation_run();
+    // Panels (a)–(c): flow, return temperature, HTW supply pressure.
+    for cmp in &v.panels[..3] {
+        let name = &cmp.name;
         // Normalised RMSE under 15 % for every validated channel — the
         // synthetic twin is deliberately perturbed, so zero error would
         // itself be a bug.
@@ -94,15 +36,14 @@ fn fig7_channels_within_reasonable_bounds() {
         assert!(cmp.rmse > 0.0, "{name}: suspiciously perfect agreement");
     }
     // Fig. 7(d): PUE within 1.4 % in the paper; allow 2 % here.
+    let pue_bias = v.panels[3].mean_bias_percent().abs();
     assert!(pue_bias < 2.0, "PUE bias {pue_bias:.2} %");
 }
 
 #[test]
 fn cdu_return_temperature_mae_in_band() {
-    let (pairs, _) = validation_run();
-    let (_, predicted, measured) =
-        pairs.iter().find(|(n, _, _)| n.contains("return_temp")).unwrap();
-    let cmp = compare_channels("temp", predicted, measured, 1_800.0);
+    let cmp = &validation_run().panels[1];
+    assert_eq!(cmp.name, "cdu[1].primary_return_temp");
     // Return-temperature MAE within a couple of kelvin.
     assert!(cmp.mae < 2.5, "MAE {} K", cmp.mae);
 }

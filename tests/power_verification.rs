@@ -8,57 +8,43 @@
 
 use exadigit_raps::config::SystemConfig;
 use exadigit_raps::power::{PowerDelivery, PowerModel};
-use exadigit_sim::stats::percent_error;
-use exadigit_telemetry::SyntheticTwin;
+use exadigit_telemetry::{power_verification, PowerVerificationRow, SyntheticTwin};
 
 fn raps_model() -> PowerModel {
     PowerModel::new(SystemConfig::frontier(), PowerDelivery::StandardAC)
 }
 
+/// Table III's idle, HPL-core and peak rows.
+fn table3() -> [PowerVerificationRow; 3] {
+    power_verification(&SyntheticTwin::frontier())
+}
+
 #[test]
 fn raps_idle_7_24_mw() {
-    let mw = raps_model().uniform_power(0.0, 0.0).system_w / 1e6;
+    let mw = table3()[0].raps_w / 1e6;
     assert!((mw - 7.24).abs() < 0.05, "idle {mw} MW vs paper 7.24");
 }
 
 #[test]
 fn raps_hpl_22_3_mw() {
     // HPL core phase: 9216 nodes at GPU 79 % / CPU 33 %, 256 idle.
-    let model = raps_model();
-    let mut acc = model.new_accumulator();
-    let mut node = 0usize;
-    for _ in 0..9216 {
-        let rack = model.rack_of_node(node);
-        model.add_nodes(&mut acc, rack, 1, 0.33, 0.79, 4);
-        node += 1;
-    }
-    for _ in 9216..9472 {
-        let rack = model.rack_of_node(node);
-        model.add_nodes(&mut acc, rack, 1, 0.0, 0.0, 4);
-        node += 1;
-    }
-    let mw = model.evaluate(&acc).system_w / 1e6;
+    let hpl = &table3()[1];
+    assert_eq!(hpl.nodes, 9216);
+    let mw = hpl.raps_w / 1e6;
     assert!((mw - 22.3).abs() < 0.15, "hpl {mw} MW vs paper 22.3");
 }
 
 #[test]
 fn raps_peak_28_2_mw() {
-    let mw = raps_model().uniform_power(1.0, 1.0).system_w / 1e6;
+    let mw = table3()[2].raps_w / 1e6;
     assert!((mw - 28.2).abs() < 0.1, "peak {mw} MW vs paper 28.2");
 }
 
 #[test]
 fn table3_error_pattern_vs_synthetic_telemetry() {
-    let model = raps_model();
-    let twin = SyntheticTwin::frontier();
-
-    let raps_idle = model.uniform_power(0.0, 0.0).system_w;
-    let raps_peak = model.uniform_power(1.0, 1.0).system_w;
-    let tele_idle = twin.measured_uniform_power(0.0, 0.0);
-    let tele_peak = twin.measured_uniform_power(1.0, 1.0);
-
-    let e_idle = percent_error(raps_idle, tele_idle);
-    let e_peak = percent_error(raps_peak, tele_peak);
+    let [idle, _, peak] = table3();
+    let e_idle = idle.error_pct;
+    let e_peak = peak.error_pct;
 
     // Paper signs: idle −2.1 % (model below telemetry), peak +3.1 %.
     assert!(e_idle < 0.0, "idle error sign: {e_idle}");
